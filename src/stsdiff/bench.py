@@ -1,11 +1,11 @@
 """Benchmark harness: single experiments and named studies with CSV
 output and cached reference solutions.
 
-A reference is an independent dense matrix exponential when the full
-operator fits the size guard, otherwise a tight-tolerance stabilized run.
-References are cached per configuration fingerprint; the fingerprint
-covers exactly the fields that affect the true solution, so solver-only
-changes reuse the cache.
+A reference is the exact semi-discrete solution exp(A t) f0, from one
+eigendecomposition of the symmetric line block that both block-diagonal
+operators repeat on every line.  References can be cached per
+configuration fingerprint; the fingerprint covers exactly the fields
+that affect the true solution, so solver-only changes reuse the cache.
 """
 
 from __future__ import annotations
@@ -14,14 +14,15 @@ import csv
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, replace
+import tempfile
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .domeig import PowerIterConfig
 from .errors import IntegrationAbort
 from .problems import DgProblem, FdProblem
-from .state import StateVector, ToleranceSpec
+from .state import GridLayout, ToleranceSpec
 from .timeloop import (
     ControllerConfig,
     EigPolicy,
@@ -30,10 +31,10 @@ from .timeloop import (
     advance_fixed,
     make_method,
 )
-from .state import GridLayout
 
-EXPM_GUARD = 4096
 N_SAMPLES = 20
+# cached files without this marker hold older, less accurate references
+CACHE_FORMAT = "eigh-line-1"
 
 CSV_COLUMNS = [
     "study", "method", "problem", "nu", "n_v", "n_x", "rtol_or_h", "norm",
@@ -95,7 +96,6 @@ def sample_times(t_f: float) -> np.ndarray:
 class ReferenceSolution:
     times: np.ndarray
     snapshots: np.ndarray
-    provenance: str
     fingerprint: str
 
     def __post_init__(self):
@@ -106,6 +106,7 @@ class ReferenceSolution:
 
 
 def _expm_reference(problem, times) -> np.ndarray:
+    """Dense N x N route; an independent oracle for small grids."""
     op = problem.assemble_matrix()
     w, V = np.linalg.eigh((op + op.T) / 2.0)
     f0 = problem.initial_condition().values
@@ -113,16 +114,13 @@ def _expm_reference(problem, times) -> np.ndarray:
     return np.stack([V @ (np.exp(w * t) * coeffs) for t in times])
 
 
-def _tight_reference(problem, t_f, times) -> np.ndarray:
-    # atol well below the run default so the absolute floor does not cap
-    # reference accuracy near 1e-8
-    tol = ToleranceSpec(1e-12, atol=1e-14)
-    method = make_method("rkl", problem, tol)
-    samples, _ = advance_adaptive(
-        problem, method, tol, "cell",
-        EigPolicy(q_lambda=1.2, refresh="periodic", period=25),
-        ControllerConfig(), t_f, list(times))
-    return np.stack([s.values for s in samples])
+def _line_reference(problem, times) -> np.ndarray:
+    """exp(A t) f0 from one eigendecomposition of the line block."""
+    a = problem.line_matrix()
+    w, V = np.linalg.eigh((a + a.T) / 2.0)
+    coeffs = problem.to_lines(problem.initial_condition().values) @ V
+    return np.stack([problem.from_lines((coeffs * np.exp(w * t)) @ V.T)
+                     for t in times])
 
 
 def compute_reference(cfg: ExperimentConfig, cache_dir: str | None = None
@@ -134,22 +132,27 @@ def compute_reference(cfg: ExperimentConfig, cache_dir: str | None = None
         path = os.path.join(cache_dir, f"ref_{fp}.npz")
         if os.path.exists(path):
             with np.load(path, allow_pickle=False) as dat:
-                return ReferenceSolution(dat["times"], dat["snapshots"],
-                                         str(dat["provenance"]), fp)
+                if str(dat.get("format")) == CACHE_FORMAT:
+                    return ReferenceSolution(dat["times"], dat["snapshots"],
+                                             fp)
     problem = build_problem(cfg)
     times = sample_times(cfg.t_f)
-    if problem.layout.n_dof <= EXPM_GUARD:
-        snapshots, provenance = _expm_reference(problem, times), "expm"
-    else:
-        snapshots = _tight_reference(problem, cfg.t_f, times)
-        provenance = "tight"
+    snapshots = _line_reference(problem, times)
     if path is not None:
+        # written beside path and renamed, so no reader sees a partial file
         lay = problem.layout
-        np.savez(path, times=times, snapshots=snapshots,
-                 provenance=np.str_(provenance), kind=np.str_(lay.kind),
-                 n_v=np.int64(lay.n_v), n_x=np.int64(lay.n_x),
-                 endianness=np.str_("little"), fingerprint=np.str_(fp))
-    return ReferenceSolution(times, snapshots, provenance, fp)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, times=times, snapshots=snapshots,
+                         format=np.str_(CACHE_FORMAT), kind=np.str_(lay.kind),
+                         n_v=np.int64(lay.n_v), n_x=np.int64(lay.n_x),
+                         endianness=np.str_("little"), fingerprint=np.str_(fp))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    return ReferenceSolution(times, snapshots, fp)
 
 
 def error_metrics(samples, ref: ReferenceSolution):
@@ -190,11 +193,14 @@ def _base_row(cfg: ExperimentConfig, point, study: str) -> dict:
     }
 
 
-def _fill_stats(row: dict, stats):
+def _fill_row(row: dict, stats, samples, ref: ReferenceSolution):
+    """Work counters, and errors unless samples is None."""
     row.update(runtime_s=stats.wall_clock, steps=stats.accepted,
                rejected=stats.rejected, failure_rate=stats.failure_rate,
                rhs_evals=stats.rhs_evals, stages_total=stats.stages_total,
                domeig_iters=stats.domeig_iters)
+    if samples is not None:
+        row["error_Linf20"], row["error_maxmax"] = error_metrics(samples, ref)
 
 
 def run_experiment(cfg: ExperimentConfig, cache_dir: str | None = None,
@@ -215,9 +221,7 @@ def run_experiment(cfg: ExperimentConfig, cache_dir: str | None = None,
             samples, stats = advance_adaptive(problem, method, tol, cfg.norm,
                                               eig, ControllerConfig(),
                                               cfg.t_f, times)
-            _fill_stats(row, stats)
-            linf20, maxmax = error_metrics(samples, ref)
-            row.update(error_Linf20=linf20, error_maxmax=maxmax)
+            _fill_row(row, stats, samples, ref)
         except IntegrationAbort:
             row["status"] = "abort"
         rows.append(row)
@@ -228,11 +232,8 @@ def run_experiment(cfg: ExperimentConfig, cache_dir: str | None = None,
         row = _base_row(cfg, h, study)
         samples, stats, blew = advance_fixed(problem, method, h, cfg.t_f,
                                              times, tol=tol, eig=eig)
-        _fill_stats(row, stats)
+        _fill_row(row, stats, None if blew else samples, ref)
         row["blew_up"] = blew
-        if not blew:
-            linf20, maxmax = error_metrics(samples, ref)
-            row.update(error_Linf20=linf20, error_maxmax=maxmax)
         rows.append(row)
 
     if write:
@@ -270,14 +271,12 @@ FIXED_H_GRID = (2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 
 def _study_points(name: str, base: ExperimentConfig):
+    methods = [m for m in METHOD_NAMES
+               if base.problem == "fd" or not m.startswith("dirk")]
     if name == "efficiency":
-        methods = [m for m in METHOD_NAMES
-                   if base.problem == "fd" or not m.startswith("dirk")]
         return [replace(base, method=m, nu=nu)
                 for m in methods for nu in NU_GRID]
     if name == "stability":
-        methods = [m for m in METHOD_NAMES
-                   if base.problem == "fd" or not m.startswith("dirk")]
         hs = base.fixed_h if base.fixed_h else FIXED_H_GRID
         return [replace(base, method=m, nu=nu, fixed_h=hs, rtol=())
                 for m in methods for nu in NU_GRID]

@@ -90,16 +90,24 @@ class DgProblem:
         """Dense (2 n_v, 2 n_v) operator of one (x-cell, x-mode) line."""
         return self._a1.copy()
 
+    def to_lines(self, values: np.ndarray) -> np.ndarray:
+        """(2 n_x, 2 n_v) array of a flat state: row 2 k + a is the line
+        of x-cell k and x-mode a, holding dofs 2 i + b."""
+        n_v, n_x = self.layout.n_v, self.layout.n_x
+        g = values.reshape(n_v, n_x, 2, 2)
+        return g.transpose(1, 2, 0, 3).reshape(n_x * 2, n_v * 2)
+
+    def from_lines(self, lines: np.ndarray) -> np.ndarray:
+        """Flat state of a to_lines array."""
+        n_v, n_x = self.layout.n_v, self.layout.n_x
+        g = lines.reshape(n_x, 2, n_v, 2).transpose(2, 0, 1, 3)
+        return g.reshape(-1)
+
     def rhs(self, t: float, u: StateVector) -> StateVector:
         if u.layout != self.layout:
             raise ValueError("state layout does not match problem layout")
-        n_v, n_x = self.layout.n_v, self.layout.n_x
-        g = u.values.reshape(n_v, n_x, 2, 2)
-        # collect the (i, b) planes of every (k, a) line as matrix rows
-        lines = g.transpose(1, 2, 0, 3).reshape(n_x * 2, n_v * 2)
-        out = lines @ self._a1.T
-        du = out.reshape(n_x, 2, n_v, 2).transpose(2, 0, 1, 3)
-        return StateVector(du.reshape(-1), self.layout)
+        out = self.to_lines(u.values) @ self._a1.T
+        return StateVector(self.from_lines(out), self.layout)
 
     def initial_condition(self) -> StateVector:
         """L2 projection of the modulated Gaussian onto the v basis;

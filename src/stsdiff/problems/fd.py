@@ -82,6 +82,14 @@ class FdProblem:
             a[i, (i - 1) % n] += fl / dv2
         return a
 
+    def to_lines(self, values: np.ndarray) -> np.ndarray:
+        """(n_x, n_v) array of a flat state: row k is x-line k."""
+        return values.reshape(self.layout.n_v, self.layout.n_x).T
+
+    def from_lines(self, lines: np.ndarray) -> np.ndarray:
+        """Flat state of a to_lines array."""
+        return lines.T.reshape(-1)
+
     def assemble_matrix(self) -> np.ndarray:
         """Dense N x N oracle whose action equals rhs on every basis
         vector.  Intended for small grids only."""

@@ -4,13 +4,14 @@ The adaptive driver accepts a step when the WRMS-measured error estimate
 is at most one, controls the step size with an integral controller using
 the order-aware exponent 1/(p+1), starts from a derivative-based step
 unless one is given, caps explicit SSP steps at their real-axis
-stability limit, clamps steps to land exactly on sample times, and
-tracks work counters. The fixed driver marches at constant h and flags
-blow-up instead of failing.
+stability limit and STS steps at the stage cap, clamps steps to land
+exactly on sample times, and tracks work counters. The fixed driver
+marches at constant h and flags blow-up instead of failing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -26,13 +27,15 @@ from .domeig import (
     power_iterate,
     warn_if_unsafe,
 )
-from .errors import IntegrationAbort, StepFailure
+from .errors import IntegrationAbort, StageCountError, StepFailure
 from .integrators.dirk import NewtonConfig, dirk_step, dirk_tableau
 from .integrators.ssp import ssp_scheme, ssp_step
 from .integrators.sts import (
+    STAGE_CAP,
     hermite_error,
     rkc2_coefficients,
     rkl2_coefficients,
+    stability_interval,
     stage_count,
     sts_step,
 )
@@ -130,6 +133,13 @@ def refresh_domeig(problem, rhs, t, f, eig: EigPolicy, tol: ToleranceSpec,
     return effective_lambda(est, EigSafety(eig.q_lambda))
 
 
+@functools.lru_cache(maxsize=None)
+def _cap_interval(sts_family: str) -> float:
+    # a hair inside the interval of STAGE_CAP stages, so that rounding in
+    # h * lam_eff cannot push stage_count past the cap
+    return stability_interval(sts_family, STAGE_CAP) * (1.0 - 1e-12)
+
+
 class _StsMethod:
     family = "sts"
     order = 2
@@ -138,12 +148,17 @@ class _StsMethod:
         self.name = name
         self.sts_family = sts_family
         self._coeffs = {}
+        self._cap_interval = _cap_interval(sts_family)
 
     def stages_for(self, h: float, lam_eff: float) -> int:
         return stage_count(h, lam_eff, self.sts_family)
 
     def max_step(self, lam_eff) -> float:
-        return math.inf
+        """Largest h whose stage count stays within STAGE_CAP;
+        unlimited when the operator has no stiffness."""
+        if not lam_eff:
+            return math.inf
+        return self._cap_interval / lam_eff
 
     def step(self, rhs, t, f, h, s):
         coeffs = self._coeffs.get(s)
@@ -422,8 +437,9 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
                   eig: EigPolicy = EigPolicy(refresh="once"),
                   step_log=None):
     """March at constant h; returns (samples, stats, blew_up). Blow-up
-    (non-finite values or growth past BLOWUP_FACTOR times the initial
-    max-norm) stops the run early instead of raising."""
+    (non-finite values, growth past BLOWUP_FACTOR times the initial
+    max-norm, or a step that needs more than STAGE_CAP stages) stops the
+    run early instead of raising."""
     if h <= 0.0:
         raise ValueError("h must be positive")
     stats = RunStats()
@@ -443,12 +459,12 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
         clamped = h >= stop - t
         h_try = min(h, stop - t)
         lam_eff = eigs.current(t, f)
-        s = method.stages_for(h_try, lam_eff)
         stats.attempted += 1
-        stats.stages_total += s
         try:
+            s = method.stages_for(h_try, lam_eff)
+            stats.stages_total += s
             f_trial, _ = method.step(rhs, t, f, h_try, s)
-        except StepFailure:
+        except (StepFailure, StageCountError):
             blew_up = True
             break
         if (not np.all(np.isfinite(f_trial.values))

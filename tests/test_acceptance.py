@@ -21,9 +21,9 @@ import time
 import numpy as np
 import pytest
 
-from stsdiff.bench import (ExperimentConfig, build_problem, run_experiment,
-                           sample_times, CSV_COLUMNS)
-from stsdiff.bench import _expm_reference, _tight_reference
+from stsdiff.bench import (ExperimentConfig, build_problem, compute_reference,
+                           run_experiment, sample_times, CSV_COLUMNS)
+from stsdiff.bench import _expm_reference
 from stsdiff.domeig import matvec_dq, power_iterate, PowerIterConfig
 from stsdiff.integrators import (NewtonConfig, cg_solve, dirk_tableau,
                                  rkl2_coefficients, rkc2_coefficients,
@@ -544,7 +544,8 @@ def test_09_conservation_and_spectrum():
 
 def test_10_oracle_equivalences(cache_dir):
     """The matrix-free pieces match their assembled/dense counterparts,
-    and the two reference-solution routes agree on small grids."""
+    and the per-line reference and a tight-tolerance march both match
+    the dense matrix exponential on small grids."""
     start = time.perf_counter()
     tol = ToleranceSpec(1e-6, atol=1e-11)
     dq_rel = {}
@@ -571,24 +572,36 @@ def test_10_oracle_equivalences(cache_dir):
     x_dense = np.linalg.solve(op, b)
     cg_rel = float(np.linalg.norm(x_cg - x_dense) / np.linalg.norm(x_dense))
 
+    # the per-line reference and an RKL march at rtol 1e-12, each
+    # against the dense matrix exponential
     ref_rel = {}
     times = sample_times(1.0)
+    tight = ToleranceSpec(1e-12, atol=1e-14)
     for kind, n_v, n_x in (("fd", 32, 1), ("dg", 16, 2)):
-        small = _problem(kind, 1.0, n_v, n_x)
+        cfg = ExperimentConfig(problem=kind, nu=1.0, n_v=n_v, n_x=n_x,
+                               out="unused.csv")
+        small = build_problem(cfg)
         exact = _expm_reference(small, times)
-        marched = _tight_reference(small, 1.0, times)
-        ref_rel[kind] = float(np.max(np.abs(exact - marched))
-                              / np.max(np.abs(exact)))
+        marched, _ = advance_adaptive(
+            small, make_method("rkl", small, tight), tight, "cell",
+            EigPolicy(q_lambda=1.2, refresh="periodic", period=25),
+            ControllerConfig(), 1.0, list(times))
+        routes = {"line": compute_reference(cfg).snapshots,
+                  "march": np.stack([m.values for m in marched])}
+        for name, snaps in routes.items():
+            ref_rel[kind, name] = float(np.max(np.abs(exact - snaps))
+                                        / np.max(np.abs(exact)))
     elapsed = time.perf_counter() - start
     ok = (max(dq_rel.values()) <= 1e-6 and cg_rel <= 1e-8
           and max(ref_rel.values()) <= 1e-8)
+    ref_txt = " ".join(f"{k}/{n}={v:.1e}" for (k, n), v in ref_rel.items())
     _verdict(10, "oracle equivalences", ok and elapsed < BUDGET[10],
-             f"dq={dq_rel} cg={cg_rel:.1e} refs={ref_rel} ({elapsed:.0f}s)")
+             f"dq={dq_rel} cg={cg_rel:.1e} refs {ref_txt} ({elapsed:.0f}s)")
     for kind, rel in dq_rel.items():
         assert rel <= 1e-6, f"{kind} difference-quotient mismatch {rel:.2e}"
     assert cg_rel <= 1e-8, f"cg vs dense mismatch {cg_rel:.2e}"
-    for kind, rel in ref_rel.items():
-        assert rel <= 1e-8, f"{kind} reference routes disagree {rel:.2e}"
+    for (kind, name), rel in ref_rel.items():
+        assert rel <= 1e-8, f"{kind} {name} reference off by {rel:.2e}"
     assert elapsed < BUDGET[10]
 
 

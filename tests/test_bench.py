@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from stsdiff.bench import (
+    CACHE_FORMAT,
     CSV_COLUMNS,
     ExperimentConfig,
     ReferenceSolution,
     _expm_reference,
     _study_points,
-    _tight_reference,
     build_problem,
     compute_reference,
     error_metrics,
@@ -20,6 +20,7 @@ from stsdiff.bench import (
     study,
 )
 from stsdiff.errors import IntegrationAbort
+from stsdiff.problems import DgProblem, FdProblem
 from stsdiff.state import GridLayout, StateVector
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -58,16 +59,22 @@ def test_fingerprint_tracks_solution_fields_only(tmp_path):
         assert replace(cfg, **change).fingerprint() != fp
 
 
+def _mass(problem, vals):
+    if problem == "fd":
+        return float(np.sum(vals))
+    return float(np.sum(vals.reshape(-1, 4)[:, 0]))
+
+
 def test_reference_provenance_paths_agree(tmp_path):
-    cfg = small_cfg(tmp_path)
-    ref = compute_reference(cfg, str(tmp_path / "cache"))
-    assert ref.provenance == "expm"
-    assert ref.snapshots.shape == (20, 32)
-    tight = _tight_reference(build_problem(cfg), cfg.t_f,
-                             sample_times(cfg.t_f))
-    rel = (np.max(np.abs(tight - ref.snapshots))
-           / np.max(np.abs(ref.snapshots)))
-    assert rel < 5e-8
+    # the per-line route against the dense N x N oracle
+    for problem, nv, nx in (("fd", 32, 1), ("dg", 8, 2)):
+        cfg = small_cfg(tmp_path, problem=problem, n_v=nv, n_x=nx)
+        ref = compute_reference(cfg, str(tmp_path / "cache"))
+        assert ref.snapshots.shape == (20, build_problem(cfg).layout.n_dof)
+        dense = _expm_reference(build_problem(cfg), sample_times(cfg.t_f))
+        rel = (np.max(np.abs(dense - ref.snapshots))
+               / np.max(np.abs(dense)))
+        assert rel < 5e-8
 
 
 def test_reference_cache_round_trip(tmp_path):
@@ -77,13 +84,66 @@ def test_reference_cache_round_trip(tmp_path):
     files = os.listdir(cache)
     assert files == [f"ref_{cfg.fingerprint()}.npz"]
     with np.load(os.path.join(cache, files[0])) as dat:
+        assert str(dat["format"]) == CACHE_FORMAT
         assert str(dat["kind"]) == "fd"
         assert int(dat["n_v"]) == 32
         assert str(dat["endianness"]) == "little"
     again = compute_reference(cfg, cache)
     np.testing.assert_array_equal(again.snapshots, ref.snapshots)
     np.testing.assert_array_equal(again.times, ref.times)
-    assert again.provenance == "expm"
+
+
+def test_stale_reference_cache_is_rebuilt(tmp_path):
+    # a file of the old format: same name, march snapshots off by 1e-9
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cfg = small_cfg(tmp_path)
+    path = cache / f"ref_{cfg.fingerprint()}.npz"
+    exact = compute_reference(cfg, None)
+    np.savez(path, times=exact.times, snapshots=exact.snapshots + 1e-9,
+             provenance=np.str_("tight"))
+    ref = compute_reference(cfg, str(cache))
+    np.testing.assert_array_equal(ref.snapshots, exact.snapshots)
+    with np.load(path) as dat:
+        assert str(dat["format"]) == CACHE_FORMAT
+        np.testing.assert_array_equal(dat["snapshots"], exact.snapshots)
+    assert os.listdir(cache) == [path.name]
+
+
+def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    def boom(*a, **kw):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", boom)
+    cache = tmp_path / "cache"
+    with pytest.raises(OSError, match="disk full"):
+        compute_reference(small_cfg(tmp_path), str(cache))
+    assert os.listdir(cache) == []
+
+
+def test_reference_needs_no_dense_matrix_or_time_march(tmp_path,
+                                                       monkeypatch):
+    smalls = [small_cfg(tmp_path, problem="dg", n_v=16, n_x=2),
+              small_cfg(tmp_path, problem="fd", n_v=32, n_x=4)]
+    dense = [_expm_reference(build_problem(c), sample_times(1.0))
+             for c in smalls]
+
+    def boom(*a, **kw):
+        raise AssertionError("reference took the dense or marching path")
+
+    monkeypatch.setattr(FdProblem, "assemble_matrix", boom)
+    monkeypatch.setattr(DgProblem, "assemble_matrix", boom)
+    monkeypatch.setattr("stsdiff.bench.advance_adaptive", boom)
+    for cfg, want in zip(smalls, dense):
+        got = compute_reference(cfg, None).snapshots
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    for problem, nv, nx in (("dg", 120, 20), ("fd", 64, 64)):
+        cfg = small_cfg(tmp_path, problem=problem, n_v=nv, n_x=nx)
+        ref = compute_reference(cfg, None)
+        assert ref.snapshots.shape == (20, build_problem(cfg).layout.n_dof)
+        m0 = _mass(problem, build_problem(cfg).initial_condition().values)
+        for snap in ref.snapshots:
+            assert abs(_mass(problem, snap) - m0) <= 1e-12 * abs(m0)
 
 
 def test_zero_operator_reference_is_the_initial_state():
@@ -103,29 +163,23 @@ def test_reference_snapshots_conserve_mass(tmp_path, problem, nv, nx):
     cfg = small_cfg(tmp_path, problem=problem, n_v=nv, n_x=nx,
                     method="rkl")
     ref = compute_reference(cfg, None)
-    f0 = build_problem(cfg).initial_condition()
-    if problem == "fd":
-        mass = lambda vals: float(np.sum(vals))
-    else:
-        lay = f0.layout
-        mass = lambda vals: float(np.sum(vals.reshape(-1, 4)[:, 0]))
-    m0 = mass(f0.values)
+    m0 = _mass(problem, build_problem(cfg).initial_condition().values)
     for k in range(20):
-        assert abs(mass(ref.snapshots[k]) - m0) <= 1e-12 * abs(m0)
+        assert abs(_mass(problem, ref.snapshots[k]) - m0) <= 1e-12 * abs(m0)
 
 
 def test_reference_invariants_enforced():
     with pytest.raises(ValueError):
-        ReferenceSolution(np.zeros(5), np.zeros((5, 3)), "expm", "x")
+        ReferenceSolution(np.zeros(5), np.zeros((5, 3)), "x")
     with pytest.raises(ValueError):
-        ReferenceSolution(np.zeros(20), np.zeros((5, 3)), "expm", "x")
+        ReferenceSolution(np.zeros(20), np.zeros((5, 3)), "x")
 
 
 def test_error_metrics_identity_and_offsets():
     lay = GridLayout("fd", 4, 1)
     times = sample_times(1.0)
     snaps = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (20, 1))
-    ref = ReferenceSolution(times, snaps, "expm", "x")
+    ref = ReferenceSolution(times, snaps, "x")
     samples = [StateVector(snaps[k].copy(), lay) for k in range(20)]
     assert error_metrics(samples, ref) == (0.0, 0.0)
     shifted = [StateVector(snaps[k] + 1e-3, lay) for k in range(20)]
@@ -199,6 +253,17 @@ def test_abort_becomes_status_row(tmp_path, monkeypatch):
     rows = run_experiment(small_cfg(tmp_path), None)
     assert rows[0]["status"] == "abort"
     assert np.isnan(rows[0]["error_Linf20"])
+
+
+def test_steps_past_stage_cap_still_return_rows(tmp_path):
+    # at nu = 1e7 even the 0.05 steps between sample times need more than
+    # STAGE_CAP stages
+    cfg = small_cfg(tmp_path, problem="dg", n_v=16, n_x=1, nu=1e7, rtol=(),
+                    fixed_h=(0.5, 0.05), eig_mode="user")
+    rows = run_experiment(cfg, None)
+    assert [r["blew_up"] for r in rows] == [True, True]
+    assert all(np.isnan(r["error_Linf20"]) for r in rows)
+    assert len(open(cfg.out, encoding="utf-8").read().splitlines()) == 3
 
 
 def test_csv_schema_and_formatting(tmp_path):

@@ -88,6 +88,16 @@ class TestRhs:
         expected = (line.reshape(-1) @ p.line_matrix().T).reshape(8, 2)
         np.testing.assert_allclose(dg[:, 1, 1, :], expected, rtol=1e-13)
 
+    def test_line_view_round_trip(self):
+        p = bench_problem(8, 3)
+        x = np.random.default_rng(7).standard_normal(p.layout.n_dof)
+        lines = p.to_lines(x)
+        assert lines.shape == (6, 16)
+        g = x.reshape(8, 3, 2, 2)
+        np.testing.assert_array_equal(lines[2 * 1 + 1],
+                                      g[:, 1, 1, :].reshape(-1))
+        np.testing.assert_array_equal(p.from_lines(lines), x)
+
     def test_layout_mismatch(self):
         p = bench_problem(8, 2)
         with pytest.raises(ValueError):

@@ -57,6 +57,18 @@ class TestRhs:
         assert np.all(dg[:, 0] == 0.0)
         assert np.all(dg[:, 2] == 0.0)
 
+    def test_line_view_round_trip(self):
+        p = bench_problem(16, 3)
+        x = np.random.default_rng(2).standard_normal(p.layout.n_dof)
+        lines = p.to_lines(x)
+        assert lines.shape == (3, 16)
+        np.testing.assert_array_equal(lines[1], x.reshape(16, 3)[:, 1])
+        np.testing.assert_array_equal(p.from_lines(lines), x)
+        np.testing.assert_allclose(
+            p.from_lines(lines @ p.line_matrix().T),
+            p.rhs(0.0, StateVector(x, p.layout)).values,
+            rtol=1e-12, atol=1e-12 * np.max(np.abs(p.line_matrix())))
+
     def test_second_order_convergence(self):
         # manufactured solution: f = exp(sin v), analytic (D f')'
         nu = 1.0

@@ -12,6 +12,7 @@ from stsdiff import (
     make_method,
 )
 from stsdiff.errors import IntegrationAbort
+from stsdiff.integrators.sts import STAGE_CAP, stage_count
 from stsdiff.problems import DgProblem, FdProblem
 from stsdiff.timeloop import RunStats, refresh_domeig
 
@@ -216,6 +217,41 @@ def test_adaptive_ssp_steps_stay_inside_stability_interval(norm):
                      EigPolicy(mode="user"), ControllerConfig(), 1.0,
                      TWENTY, step_log=log)
     assert max(r.h * lam_true for r in log if r.accepted) <= 13.917
+
+
+def test_fixed_step_past_stage_cap_flags_blow_up_instead_of_raising():
+    # h * lambda_eff = 6.7e7 needs more than STAGE_CAP stages
+    dg = DgProblem(GridLayout("dg", 120, 4), nu=2000.0)
+    samples, stats, blew = advance_fixed(
+        dg, make_method("rkl", dg, TOL), 0.5, 1.0, (), tol=TOL,
+        eig=EigPolicy(mode="user"))
+    assert blew
+    assert stats.attempted == 1 and stats.accepted == 0
+    assert stats.stages_total == 0 and stats.rhs_evals == 0
+
+
+@pytest.mark.parametrize("name", ["rkl", "rkc"])
+def test_sts_max_step_holds_stage_count_at_cap(name):
+    method = make_method(name, PROB, TOL)
+    for lam in (1.0, 3.0e7, 1.234567e11):
+        assert stage_count(method.max_step(lam), lam,
+                           method.sts_family) == STAGE_CAP
+    assert method.max_step(0.0) == np.inf
+
+
+def test_adaptive_sts_steps_stay_within_stage_cap():
+    # the first proposal, h0 = t_f, has h * lambda_eff = 1.2e8, past the
+    # 5.0e7 that STAGE_CAP RKL stages cover
+    fd = FdProblem(GridLayout("fd", 8, 1), nu=1e7)
+    tol = ToleranceSpec(1e-3)
+    log = []
+    samples, stats = advance_adaptive(
+        fd, make_method("rkl", fd, tol), tol, "component",
+        EigPolicy(mode="user", q_lambda=1.0), ControllerConfig(h0=1.0),
+        1.0, [1.0], step_log=log)
+    assert len(samples) == 1
+    assert max(r.stages for r in log) == STAGE_CAP
+    assert stats.stages_total == sum(r.stages for r in log)
 
 
 def test_start_step_is_accepted_on_stiff_initial_state():
