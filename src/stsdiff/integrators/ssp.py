@@ -23,16 +23,20 @@ class ShuOsherScheme:
     """rows[i] = (alpha_i, beta_i) produces stage i+2 (1-based stage
     numbering, stage 1 is f_n) or, for the last row, the step result:
         z = sum_j alpha[j] z_j + h sum_j beta[j] F_j.
+
+    The rows and the embedded weights are the only coefficient data;
+    the stage count and the Butcher arrays are derived from the rows.
     """
 
     name: str
     order: int
     embedded_order: int
-    s: int
     rows: tuple
-    b: np.ndarray
     b_embedded: np.ndarray
-    c: np.ndarray
+
+    @property
+    def s(self) -> int:
+        return len(self.rows)
 
     def ssp_coefficient(self) -> float:
         """Monotonicity radius: min alpha/beta over paired entries."""
@@ -45,6 +49,10 @@ class ShuOsherScheme:
 
     def butcher(self):
         """Equivalent Butcher arrays (A, b, c), derived from the rows."""
+        return self._butcher
+
+    @cached_property
+    def _butcher(self):
         a = [np.zeros(self.s)]
         for alpha, beta in self.rows:
             row = np.zeros(self.s)
@@ -54,7 +62,20 @@ class ShuOsherScheme:
                 row[j - 1] += w
             a.append(row)
         mat = np.array(a[:self.s])
-        return mat, np.array(a[self.s]), mat.sum(axis=1)
+        arrays = (mat, np.array(a[self.s]), mat.sum(axis=1))
+        for x in arrays:
+            x.flags.writeable = False
+        return arrays
+
+    @cached_property
+    def _drops(self) -> tuple:
+        """drops[i]: the stages that no row after row i reads."""
+        last = {}
+        for i, (alpha, beta) in enumerate(self.rows):
+            for j in (*alpha, *beta):
+                last[j] = i
+        return tuple(tuple(j for j, k in last.items() if k == i)
+                     for i in range(self.s))
 
     @cached_property
     def real_axis_bound(self) -> float:
@@ -90,11 +111,8 @@ def _ssp2() -> ShuOsherScheme:
         ({1: 1.0}, {1: 1.0}),
         ({1: 0.5, 2: 0.5}, {2: 0.5}),
     )
-    return ShuOsherScheme(
-        "ssp2", 2, 1, 2, rows,
-        b=np.array([0.5, 0.5]),
-        b_embedded=np.array([0.75, 0.25]),
-        c=np.array([0.0, 1.0]))
+    return ShuOsherScheme("ssp2", 2, 1, rows,
+                          b_embedded=np.array([0.75, 0.25]))
 
 
 def _ssp3() -> ShuOsherScheme:
@@ -104,11 +122,7 @@ def _ssp3() -> ShuOsherScheme:
         ({1: 2.0 / 3.0, 3: 1.0 / 3.0}, {3: 1.0 / 6.0}),
         ({4: 1.0}, {4: 0.5}),
     )
-    return ShuOsherScheme(
-        "ssp3", 3, 2, 4, rows,
-        b=np.array([1.0, 1.0, 1.0, 3.0]) / 6.0,
-        b_embedded=np.full(4, 0.25),
-        c=np.array([0.0, 0.5, 1.0, 0.5]))
+    return ShuOsherScheme("ssp3", 3, 2, rows, b_embedded=np.full(4, 0.25))
 
 
 def _ssp4() -> ShuOsherScheme:
@@ -120,12 +134,9 @@ def _ssp4() -> ShuOsherScheme:
         rows.append(({i: 1.0}, {i: 1.0 / 6.0}))
     rows.append(({1: 1.0 / 25.0, 5: 9.0 / 25.0, 10: 3.0 / 5.0},
                  {5: 3.0 / 50.0, 10: 1.0 / 10.0}))
-    return ShuOsherScheme(
-        "ssp4", 4, 3, 10, tuple(rows),
-        b=np.full(10, 0.1),
-        b_embedded=np.array(
-            [7.0, 18.0, 4.0, 10.0, 11.0, 10.0, 10.0, 10.0, 10.0, 10.0]) / 100.0,
-        c=np.array([0.0, 1.0, 2.0, 3.0, 4.0, 2.0, 3.0, 4.0, 5.0, 6.0]) / 6.0)
+    b_embedded = np.array([7.0, 18.0, 4.0, 10.0, 11.0,
+                           10.0, 10.0, 10.0, 10.0, 10.0]) / 100.0
+    return ShuOsherScheme("ssp4", 4, 3, tuple(rows), b_embedded)
 
 
 SSP_SCHEMES = {2: _ssp2(), 3: _ssp3(), 4: _ssp4()}
@@ -138,73 +149,36 @@ def ssp_scheme(order: int) -> ShuOsherScheme:
         raise ValueError(f"no SSP scheme of order {order}; choose 2, 3 or 4")
 
 
-def _step_generic(rhs, t_n, f_n, h, scheme):
-    """Row-driven evaluation; stage values are dropped as soon as no
-    later row references them."""
-    lay = f_n.layout
-    last_use = {}
-    for i, (alpha, beta) in enumerate(scheme.rows):
-        for j in set(alpha) | set(beta):
-            last_use[j] = i
-    d = scheme.b - scheme.b_embedded
-    live = {1: f_n.values}
-    err = np.zeros(lay.n_dof)
-    fs = {}
-    out = None
-    for i, (alpha, beta) in enumerate(scheme.rows):
-        for j in beta:
-            if j not in fs:
-                fj = rhs(t_n + scheme.c[j - 1] * h,
-                         StateVector(live[j], lay)).values
-                err += d[j - 1] * fj
-                fs[j] = fj
-        z = np.zeros(lay.n_dof)
-        for j, w in alpha.items():
-            z += w * live[j]
-        for j, w in beta.items():
-            z += h * w * fs[j]
-        for j in [j for j in live if last_use[j] <= i]:
-            del live[j]
-        for j in [j for j in fs if last_use[j] <= i]:
-            del fs[j]
-        if i + 1 < len(scheme.rows):
-            live[i + 2] = z
-        else:
-            out = z
-    return out, h * err
-
-
-def _step_ssp4_lowstorage(rhs, t_n, f_n, h, scheme):
-    """Two work vectors: the first five forward-Euler increments are
-    folded into a partial combination that already carries the f_n and
-    stage-5 contributions of the final sum."""
-    lay = f_n.layout
-    d = scheme.b - scheme.b_embedded
-    err = np.zeros(lay.n_dof)
-    q1 = f_n.values.copy()
-    for i in range(5):
-        f = rhs(t_n + scheme.c[i] * h, StateVector(q1, lay)).values
-        err += d[i] * f
-        q1 += (h / 6.0) * f
-    q2 = (1.0 / 25.0) * f_n.values + (9.0 / 25.0) * q1
-    q1 = 15.0 * q2 - 5.0 * q1
-    for i in range(5, 9):
-        f = rhs(t_n + scheme.c[i] * h, StateVector(q1, lay)).values
-        err += d[i] * f
-        q1 += (h / 6.0) * f
-    f = rhs(t_n + scheme.c[9] * h, StateVector(q1, lay)).values
-    err += d[9] * f
-    return q2 + 0.6 * q1 + (h / 10.0) * f, h * err
-
-
 def ssp_step(rhs, t_n: float, f_n: StateVector, h: float,
              scheme: ShuOsherScheme):
     """One SSP step; returns (f_next, error_estimate) where the estimate
-    is the difference to the embedded lower-order solution."""
-    if scheme.name == "ssp4":
-        out, err = _step_ssp4_lowstorage(rhs, t_n, f_n, h, scheme)
-    else:
-        out, err = _step_generic(rhs, t_n, f_n, h, scheme)
-    if not np.all(np.isfinite(out)):
+    is the difference to the embedded lower-order solution.
+
+    Each row's combination starts from its first alpha term, and a stage
+    value or derivative is dropped after the last row that reads it.
+    """
+    lay = f_n.layout
+    _, b, c = scheme.butcher()
+    d = b - scheme.b_embedded
+    live = {1: f_n.values}
+    fs = {}
+    err = np.zeros(lay.n_dof)
+    for i, (alpha, beta) in enumerate(scheme.rows):
+        for j in beta:
+            if j not in fs:
+                fj = rhs(t_n + c[j - 1] * h, StateVector(live[j], lay)).values
+                err += d[j - 1] * fj
+                fs[j] = fj
+        (j0, w0), *rest = alpha.items()
+        z = w0 * live[j0]
+        for j, w in rest:
+            z += w * live[j]
+        for j, w in beta.items():
+            z += (h * w) * fs[j]
+        for j in scheme._drops[i]:
+            del live[j]
+            fs.pop(j, None)
+        live[i + 2] = z
+    if not np.all(np.isfinite(z)):
         raise StepFailure("non-finite values in SSP stages")
-    return StateVector(out, f_n.layout), StateVector(err, f_n.layout)
+    return StateVector(z, lay), StateVector(h * err, lay)

@@ -11,7 +11,6 @@ marches at constant h and flags blow-up instead of failing.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -82,17 +81,22 @@ class RunStats:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One step attempt, logged by both drivers: one record per attempt,
+    so a step log is as long as `RunStats.attempted`.
+
+    t is the attempt's start time and h its step size.  e_norm is the
+    WRMS norm of the error estimate, inf when the step failed or blew
+    up; the fixed-step driver estimates no error and logs 0 for a
+    completed step.  accepted is False for a rejected or blown-up
+    attempt.  stages and lam_eff are 0 where none was determined.
+    """
+
     t: float
     h: float
     e_norm: float
     accepted: bool
     stages: int
     lam_eff: float
-
-    def format_line(self) -> str:
-        flag = "acc" if self.accepted else "rej"
-        return (f"t={self.t:.9e} h={self.h:.6e} E={self.e_norm:.6e} "
-                f"{flag} s={self.stages} lam={self.lam_eff:.6e}")
 
 
 @dataclass(frozen=True)
@@ -133,13 +137,6 @@ def refresh_domeig(problem, rhs, t, f, eig: EigPolicy, tol: ToleranceSpec,
     return effective_lambda(est, EigSafety(eig.q_lambda))
 
 
-@functools.lru_cache(maxsize=None)
-def _cap_interval(sts_family: str) -> float:
-    # a hair inside the interval of STAGE_CAP stages, so that rounding in
-    # h * lam_eff cannot push stage_count past the cap
-    return stability_interval(sts_family, STAGE_CAP) * (1.0 - 1e-12)
-
-
 class _StsMethod:
     family = "sts"
     order = 2
@@ -148,7 +145,10 @@ class _StsMethod:
         self.name = name
         self.sts_family = sts_family
         self._coeffs = {}
-        self._cap_interval = _cap_interval(sts_family)
+        # a hair inside the interval of STAGE_CAP stages, so that rounding
+        # in h * lam_eff cannot push stage_count past the cap
+        self._cap_interval = (stability_interval(sts_family, STAGE_CAP)
+                              * (1.0 - 1e-12))
 
     def stages_for(self, h: float, lam_eff: float) -> int:
         return stage_count(h, lam_eff, self.sts_family)
@@ -456,30 +456,33 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
 
     while t < t_f * (1.0 - 1e-14) or tracker.idx < len(tracker.times):
         stop = tracker.next_stop(t)
-        clamped = h >= stop - t
-        h_try = min(h, stop - t)
+        # a step that ends within round-off of the stop lands on it, so
+        # accumulated t leaves no sliver step before a sample time
+        clamped = h * (1.0 + 1e-9) >= stop - t
+        h_try = stop - t if clamped else h
         lam_eff = eigs.current(t, f)
         stats.attempted += 1
+        s = 0
         try:
             s = method.stages_for(h_try, lam_eff)
             stats.stages_total += s
             f_trial, _ = method.step(rhs, t, f, h_try, s)
+            blew_up = bool(not np.all(np.isfinite(f_trial.values))
+                           or np.max(np.abs(f_trial.values)) > limit)
         except (StepFailure, StageCountError):
             blew_up = True
-            break
-        if (not np.all(np.isfinite(f_trial.values))
-                or np.max(np.abs(f_trial.values)) > limit):
-            blew_up = True
+        if step_log is not None:
+            e_norm = float("inf") if blew_up else 0.0
+            step_log.append(StepRecord(t, h_try, e_norm, not blew_up, s,
+                                       lam_eff if lam_eff is not None
+                                       else 0.0))
+        if blew_up:
             break
         t = stop if clamped else t + h_try
         f = f_trial
         stats.accepted += 1
         tracker.record_if_hit(t, f)
         eigs.after_accept(t, f)
-        if step_log is not None:
-            step_log.append(StepRecord(t, h_try, 0.0, True, s,
-                                       lam_eff if lam_eff is not None
-                                       else 0.0))
 
     stats.wall_clock = time.perf_counter() - start
     return tracker.samples, stats, blew_up

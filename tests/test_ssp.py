@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from stsdiff.errors import StepFailure
-from stsdiff.integrators.ssp import (
-    SSP_SCHEMES,
-    _step_generic,
-    ssp_scheme,
-    ssp_step,
-)
+from stsdiff.integrators.ssp import SSP_SCHEMES, ssp_scheme, ssp_step
 from stsdiff.problems.fd import FdProblem
 from stsdiff.state import GridLayout, StateVector
 
@@ -65,12 +60,22 @@ class TestSchemes:
             assert all(w >= 0 for w in alpha.values())
             assert all(w >= 0 for w in beta.values())
 
+    # published solution weights and abscissae of each scheme
+    PUBLISHED = {
+        2: (np.array([0.5, 0.5]), np.array([0.0, 1.0])),
+        3: (np.array([1.0, 1.0, 1.0, 3.0]) / 6.0,
+            np.array([0.0, 0.5, 1.0, 0.5])),
+        4: (np.full(10, 0.1),
+            np.array([0, 1, 2, 3, 4, 2, 3, 4, 5, 6]) / 6.0),
+    }
+
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_solution_weights_satisfy_order(self, order):
         sch = ssp_scheme(order)
         A, b, c = sch.butcher()
-        np.testing.assert_allclose(b, sch.b, atol=1e-14)
-        np.testing.assert_allclose(c, sch.c, atol=1e-14)
+        want_b, want_c = self.PUBLISHED[order]
+        np.testing.assert_allclose(b, want_b, atol=1e-14)
+        np.testing.assert_allclose(c, want_c, atol=1e-14)
         np.testing.assert_allclose(order_residuals(A, b, c, order), 0.0,
                                    atol=1e-13)
         if order < 4:
@@ -139,15 +144,25 @@ class TestStep:
         # by the b/b~ difference on the time-dependent part
         assert np.linalg.norm(err.values) > 0.0
 
-    def test_ssp4_lowstorage_path_matches_rows(self):
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_step_matches_butcher_evaluation(self, order):
         p = FdProblem(GridLayout("fd", 16, 1), 1.0)
         rng = np.random.default_rng(0)
         f = StateVector(rng.uniform(0.5, 1.5, 16), p.layout)
-        sch = ssp_scheme(4)
-        fast, efast = ssp_step(p.rhs, 0.0, f, 1e-3, sch)
-        slow, eslow = _step_generic(p.rhs, 0.0, f, 1e-3, sch)
-        np.testing.assert_allclose(fast.values, slow, rtol=1e-13)
-        np.testing.assert_allclose(efast.values, eslow, atol=1e-18)
+        sch = ssp_scheme(order)
+        A, b, c = sch.butcher()
+        t_n, h = 0.1, 1e-3
+        ks = []
+        for i in range(sch.s):
+            y = f.values + h * sum(A[i, j] * ks[j] for j in range(i))
+            ks.append(p.rhs(t_n + c[i] * h, StateVector(y, p.layout)).values)
+        ks = np.array(ks)
+        out, err = ssp_step(p.rhs, t_n, f, h, sch)
+        np.testing.assert_allclose(out.values, f.values + h * (b @ ks),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(err.values,
+                                   h * ((b - sch.b_embedded) @ ks),
+                                   atol=1e-18)
 
     def test_nonfinite_raises(self):
         def rhs(t, u):

@@ -4,6 +4,7 @@ import pytest
 from stsdiff.errors import StageCountError, StepFailure
 from stsdiff.integrators.sts import (
     RKC_DAMPING,
+    _chebyshev_table,
     hermite_error,
     rkc2_coefficients,
     rkl2_coefficients,
@@ -166,6 +167,15 @@ class TestStability:
             beta = stability_interval(family, s)
             zs = np.linspace(-1.3 * beta, -1.0001 * beta, 300)
             assert np.max(np.abs(amp_recursion(co, zs))) > 1.0
+
+    def test_rkc2_closed_form_matches_chebyshev_recurrence(self):
+        # (1+w0) T_s''(w0)/T_s'(w0) from the three-term recurrence
+        for s in range(2, 61):
+            w0 = 1.0 + RKC_DAMPING / s**2
+            _, tp, tpp = _chebyshev_table(s, w0)
+            want = (1.0 + w0) * tpp[s] / tp[s]
+            assert stability_interval("rkc2", s) == pytest.approx(
+                want, rel=1e-13)
 
     def test_recursion_helper_matches_step(self):
         for family in ("rkl2", "rkc2"):

@@ -155,6 +155,47 @@ def test_stabilized_method_survives_the_same_fixed_step():
     assert rel < 1e-2
 
 
+@pytest.mark.parametrize("h, steps", [(0.0125, 80), (0.00625, 160)])
+def test_fixed_steps_land_on_sample_times_without_sliver_steps(h, steps):
+    # accumulated t ends a few ulps short of each sample time; the step
+    # that gets there must land on it, not leave a 1e-17 step behind
+    log = []
+    _, stats, blew = advance_fixed(PROB, make_method("rkl", PROB, TOL), h,
+                                   1.0, TWENTY, tol=TOL,
+                                   eig=EigPolicy(mode="user"), step_log=log)
+    assert not blew
+    assert stats.attempted == steps
+    assert all(r.h >= 0.999 * h for r in log)
+
+
+def test_step_logs_record_start_times_and_every_attempt():
+    log = []
+    _, stats = advance_adaptive(PROB, make_method("rkl", PROB, TOL), TOL,
+                                "component", EIG, ControllerConfig(h0=0.5),
+                                1.0, TWENTY, step_log=log)
+    assert stats.rejected >= 1
+    assert len(log) == stats.attempted
+    assert log[0].t == 0.0
+
+    log = []
+    _, stats, blew = advance_fixed(PROB, make_method("rkl", PROB, TOL), 0.05,
+                                   1.0, TWENTY, tol=TOL, eig=EIG,
+                                   step_log=log)
+    assert len(log) == stats.attempted == 20
+    assert [r.t for r in log[:3]] == [0.0, 0.05, 0.1]
+    assert all(r.t + r.h == pytest.approx(n.t, abs=1e-15)
+               for r, n in zip(log, log[1:]))
+
+    # the attempt that blows up is logged as not accepted
+    log = []
+    _, stats, blew = advance_fixed(PROB, make_method("ssp2", PROB, TOL),
+                                   0.05, 1.0, TWENTY, step_log=log)
+    assert blew is True
+    assert len(log) == stats.attempted == stats.accepted + 1
+    assert all(r.accepted for r in log[:-1])
+    assert not log[-1].accepted and log[-1].e_norm == np.inf
+
+
 def test_fixed_step_below_stability_bound_stays_bounded():
     lay = GridLayout("fd", 4, 1)
     prob = FdProblem(lay, nu=1.0)
