@@ -10,6 +10,7 @@ error estimate costs one running register and no extra rhs calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +27,10 @@ class ShuOsherScheme:
 
     The rows and the embedded weights are the only coefficient data;
     the stage count and the Butcher arrays are derived from the rows.
+    The rows hold exact fractions: the Butcher arrays are derived in
+    rational arithmetic and rounded once, so weights that are equal in
+    exact arithmetic, such as b and b_embedded at six of SSP4's ten
+    stages, are equal as floats too.
     """
 
     name: str
@@ -44,8 +49,8 @@ class ShuOsherScheme:
         for alpha, beta in self.rows:
             for j, bj in beta.items():
                 if bj > 0:
-                    ratios.append(alpha.get(j, 0.0) / bj)
-        return min(ratios)
+                    ratios.append(alpha.get(j, 0) / bj)
+        return float(min(ratios))
 
     def butcher(self):
         """Equivalent Butcher arrays (A, b, c), derived from the rows."""
@@ -53,19 +58,26 @@ class ShuOsherScheme:
 
     @cached_property
     def _butcher(self):
-        a = [np.zeros(self.s)]
+        a = [[Fraction(0)] * self.s]
         for alpha, beta in self.rows:
-            row = np.zeros(self.s)
-            for j, w in alpha.items():
-                row += w * a[j - 1]
+            row = [sum(w * a[j - 1][k] for j, w in alpha.items())
+                   for k in range(self.s)]
             for j, w in beta.items():
                 row[j - 1] += w
             a.append(row)
-        mat = np.array(a[:self.s])
-        arrays = (mat, np.array(a[self.s]), mat.sum(axis=1))
+        arrays = (np.array(a[:self.s], dtype=float),
+                  np.array(a[self.s], dtype=float),
+                  np.array([sum(row) for row in a[:self.s]], dtype=float))
         for x in arrays:
             x.flags.writeable = False
         return arrays
+
+    @cached_property
+    def _float_rows(self) -> tuple:
+        """The rows with float weights, as ssp_step evaluates them."""
+        return tuple(({j: float(w) for j, w in alpha.items()},
+                      {j: float(w) for j, w in beta.items()})
+                     for alpha, beta in self.rows)
 
     @cached_property
     def _drops(self) -> tuple:
@@ -107,33 +119,36 @@ class ShuOsherScheme:
 
 
 def _ssp2() -> ShuOsherScheme:
+    half = Fraction(1, 2)
     rows = (
-        ({1: 1.0}, {1: 1.0}),
-        ({1: 0.5, 2: 0.5}, {2: 0.5}),
+        ({1: Fraction(1)}, {1: Fraction(1)}),
+        ({1: half, 2: half}, {2: half}),
     )
     return ShuOsherScheme("ssp2", 2, 1, rows,
                           b_embedded=np.array([0.75, 0.25]))
 
 
 def _ssp3() -> ShuOsherScheme:
+    half = Fraction(1, 2)
     rows = (
-        ({1: 1.0}, {1: 0.5}),
-        ({2: 1.0}, {2: 0.5}),
-        ({1: 2.0 / 3.0, 3: 1.0 / 3.0}, {3: 1.0 / 6.0}),
-        ({4: 1.0}, {4: 0.5}),
+        ({1: Fraction(1)}, {1: half}),
+        ({2: Fraction(1)}, {2: half}),
+        ({1: Fraction(2, 3), 3: Fraction(1, 3)}, {3: Fraction(1, 6)}),
+        ({4: Fraction(1)}, {4: half}),
     )
     return ShuOsherScheme("ssp3", 3, 2, rows, b_embedded=np.full(4, 0.25))
 
 
 def _ssp4() -> ShuOsherScheme:
+    sixth = Fraction(1, 6)
     rows = []
     for i in range(1, 5):
-        rows.append(({i: 1.0}, {i: 1.0 / 6.0}))
-    rows.append(({1: 3.0 / 5.0, 5: 2.0 / 5.0}, {5: 1.0 / 15.0}))
+        rows.append(({i: Fraction(1)}, {i: sixth}))
+    rows.append(({1: Fraction(3, 5), 5: Fraction(2, 5)}, {5: Fraction(1, 15)}))
     for i in range(6, 10):
-        rows.append(({i: 1.0}, {i: 1.0 / 6.0}))
-    rows.append(({1: 1.0 / 25.0, 5: 9.0 / 25.0, 10: 3.0 / 5.0},
-                 {5: 3.0 / 50.0, 10: 1.0 / 10.0}))
+        rows.append(({i: Fraction(1)}, {i: sixth}))
+    rows.append(({1: Fraction(1, 25), 5: Fraction(9, 25), 10: Fraction(3, 5)},
+                 {5: Fraction(3, 50), 10: Fraction(1, 10)}))
     b_embedded = np.array([7.0, 18.0, 4.0, 10.0, 11.0,
                            10.0, 10.0, 10.0, 10.0, 10.0]) / 100.0
     return ShuOsherScheme("ssp4", 4, 3, tuple(rows), b_embedded)
@@ -154,8 +169,10 @@ def ssp_step(rhs, t_n: float, f_n: StateVector, h: float,
     """One SSP step; returns (f_next, error_estimate) where the estimate
     is the difference to the embedded lower-order solution.
 
-    Each row's combination starts from its first alpha term, and a stage
-    value or derivative is dropped after the last row that reads it.
+    Each row's combination starts from its first alpha term, a stage
+    value or derivative is dropped after the last row that reads it, and
+    stages whose solution and embedded weights agree add nothing to the
+    estimate.
     """
     lay = f_n.layout
     _, b, c = scheme.butcher()
@@ -163,11 +180,12 @@ def ssp_step(rhs, t_n: float, f_n: StateVector, h: float,
     live = {1: f_n.values}
     fs = {}
     err = np.zeros(lay.n_dof)
-    for i, (alpha, beta) in enumerate(scheme.rows):
+    for i, (alpha, beta) in enumerate(scheme._float_rows):
         for j in beta:
             if j not in fs:
                 fj = rhs(t_n + c[j - 1] * h, StateVector(live[j], lay)).values
-                err += d[j - 1] * fj
+                if d[j - 1]:
+                    err += d[j - 1] * fj
                 fs[j] = fj
         (j0, w0), *rest = alpha.items()
         z = w0 * live[j0]

@@ -175,26 +175,38 @@ def sts_step(rhs, t_n: float, f_n: StateVector, h: float,
 
     Returns (f_next, g_n, g_next) where g_n = rhs(t_n, f_n) and
     g_next = rhs(t_n + h, f_next) feed the cubic-Hermite error
-    estimator.  Uses three state registers plus the cached g_n and one
-    scratch product.
+    estimator.  The five arrays a stage reads, z_{j-1}, z_{j-2}, z_0,
+    g = G(t_{n,j-1}, z_{j-1}) and g_0, are the rows of one (5, N) block,
+    so each stage is one weighted sum of its rows; the two z rows swap
+    roles after every stage.
     """
     lay = f_n.layout
     s = coeffs.s
-    z0 = f_n.values
+    alpha, beta = coeffs.alpha.tolist(), coeffs.beta.tolist()
+    alpha_tilde = coeffs.alpha_tilde.tolist()
+    gamma_tilde = coeffs.gamma_tilde.tolist()
+    c = coeffs.c.tolist()
     g0 = rhs(t_n, f_n).values
-    zm1 = z0 + h * coeffs.alpha_tilde[1] * g0
-    zm2 = z0
+    rows = np.empty((5, lay.n_dof))
+    rows[0] = f_n.values + (h * alpha_tilde[1]) * g0
+    rows[1] = f_n.values
+    rows[2] = f_n.values
+    rows[4] = g0
+    prev, older = 0, 1
+    w = np.empty(5)
     for j in range(2, s + 1):
-        t_stage = t_n + coeffs.c[j - 1] * h
-        g = rhs(t_stage, StateVector(zm1, lay)).values
-        zj = coeffs.alpha[j] * zm1 + coeffs.beta[j] * zm2 \
-            + (1.0 - coeffs.alpha[j] - coeffs.beta[j]) * z0 \
-            + h * coeffs.alpha_tilde[j] * g \
-            + h * coeffs.gamma_tilde[j] * g0
-        zm2, zm1 = zm1, zj
-    if not np.all(np.isfinite(zm1)):
+        t_stage = t_n + c[j - 1] * h
+        rows[3] = rhs(t_stage, StateVector(rows[prev], lay)).values
+        a, b = alpha[j], beta[j]
+        w[2:] = (1.0 - a - b, h * alpha_tilde[j], h * gamma_tilde[j])
+        w[prev] = a
+        w[older] = b
+        rows[older] = w @ rows
+        prev, older = older, prev
+    z = rows[prev].copy()
+    if not np.all(np.isfinite(z)):
         raise StepFailure("non-finite values in super-time-step stages")
-    f_next = StateVector(zm1, lay)
+    f_next = StateVector(z, lay)
     g_next = rhs(t_n + h, f_next)
     if not np.all(np.isfinite(g_next.values)):
         raise StepFailure("non-finite right-hand side after step")

@@ -28,6 +28,11 @@ class DgProblem:
     penalty_c >= 1 makes the form coercive for linear elements; smaller
     values are accepted so the loss of coercivity can be demonstrated.
     modulation=0 is the uniform-coefficient test fixture.
+
+    The operator is stored as three (n_v, 2, 2) block arrays, assembled
+    face by face, and rhs applies it as a block-tridiagonal stencil at
+    O(N) cost; line_matrix() scatters the blocks into the dense line
+    operator for the reference solution and the tests.
     """
 
     def __init__(self, layout: GridLayout, nu: float, penalty_c: float = 2.0,
@@ -55,40 +60,55 @@ class DgProblem:
         self.cell_average_d = self.cell_d_integral / dv
         # face i sits at edges[i+1], between cells i and i+1 (periodic)
         self.face_d = self._d(self.edges[1:])
-        self._a1 = self._assemble_line()
+        self._diag, self._left, self._right = self._assemble_blocks()
+        # right-multiplying forms for rows of dofs (see rhs)
+        self._stencil = tuple(np.ascontiguousarray(blk.transpose(0, 2, 1))
+                              for blk in (self._diag, self._left, self._right))
 
     def _d(self, v):
         return diffusion_coefficient(v, self.nu, self.modulation)
 
-    def _assemble_line(self) -> np.ndarray:
-        """One-family 1-D SIPG operator on dofs g[2i + b], b in {avg, slope}."""
+    def _assemble_blocks(self):
+        """1-D SIPG operator of one family on dofs (avg, slope) per cell,
+        as (n_v, 2, 2) blocks: D[i] acts on cell i itself, L[i] on its
+        left neighbour i-1 and R[i] on its right neighbour i+1 (periodic).
+
+        Face f sits between cells f and f+1.  Its traces are
+        u- = g_L0 + sq3 g_L1 and u+ = g_R0 - sq3 g_R1, so the jump has
+        the per-side weights jl = (1, sq3), jr = (-1, sq3); the flux mean
+        has m_f = (0, D(v_f) sq3 / dv) on both sides.  Side pair (p, q)
+        of face f contributes -(m_f jq^T + jp m_f^T) + tau_f jp jq^T.
+        """
         n_v = self.layout.n_v
         dv = self.layout.dv
-        n = 2 * n_v
-        a = np.zeros((n, n))
         tau = self.penalty_c * 4.0 * self.face_d / dv
+        jl = np.array([1.0, SQ3])
+        jr = np.array([-1.0, SQ3])
+        m = np.zeros((n_v, 2))
+        m[:, 1] = self.face_d * SQ3 / dv
 
-        for i in range(n_v):
-            a[2 * i + 1, 2 * i + 1] += 12.0 / dv**2 * self.cell_d_integral[i]
-        for i in range(n_v):
-            left, right = i, (i + 1) % n_v
-            d = self.face_d[i]
-            # traces at the face: u- = g_L0 + sq3 g_L1, u+ = g_R0 - sq3 g_R1
-            jump = np.zeros(n)
-            jump[2 * left] += 1.0
-            jump[2 * left + 1] += SQ3
-            jump[2 * right] -= 1.0
-            jump[2 * right + 1] += SQ3
-            mean = np.zeros(n)
-            mean[2 * left + 1] += d * SQ3 / dv
-            mean[2 * right + 1] += d * SQ3 / dv
-            a -= np.outer(mean, jump) + np.outer(jump, mean)
-            a += tau[i] * np.outer(jump, jump)
-        return -a / dv
+        def face(jp, jq):
+            return -(m[:, :, None] * jq + jp[:, None] * m[:, None, :]) \
+                + tau[:, None, None] * np.outer(jp, jq)
+
+        # cell i is the left side of face i and the right side of face i-1
+        diag = face(jl, jl) + np.roll(face(jr, jr), 1, axis=0)
+        diag[:, 1, 1] += 12.0 / dv**2 * self.cell_d_integral
+        left = np.roll(face(jr, jl), 1, axis=0)
+        right = face(jl, jr)
+        return -diag / dv, -left / dv, -right / dv
 
     def line_matrix(self) -> np.ndarray:
-        """Dense (2 n_v, 2 n_v) operator of one (x-cell, x-mode) line."""
-        return self._a1.copy()
+        """Dense (2 n_v, 2 n_v) operator of one (x-cell, x-mode) line,
+        scattered from the blocks.  With one or two cells the neighbours
+        coincide, so blocks landing on one place add up."""
+        n_v = self.layout.n_v
+        a = np.zeros((n_v, 2, n_v, 2))
+        i = np.arange(n_v)
+        np.add.at(a, (i, slice(None), i), self._diag)
+        np.add.at(a, (i, slice(None), (i - 1) % n_v), self._left)
+        np.add.at(a, (i, slice(None), (i + 1) % n_v), self._right)
+        return a.reshape(2 * n_v, 2 * n_v)
 
     def to_lines(self, values: np.ndarray) -> np.ndarray:
         """(2 n_x, 2 n_v) array of a flat state: row 2 k + a is the line
@@ -104,10 +124,19 @@ class DgProblem:
         return g.reshape(-1)
 
     def rhs(self, t: float, u: StateVector) -> StateVector:
+        """Block-tridiagonal stencil on the cell-major layout: row (i, m)
+        of the (n_v, 2 n_x, 2) view holds the (avg, slope) dofs of v-cell
+        i on line m, and gets D[i] u_i + L[i] u_(i-1) + R[i] u_(i+1)."""
         if u.layout != self.layout:
             raise ValueError("state layout does not match problem layout")
-        out = self.to_lines(u.values) @ self._a1.T
-        return StateVector(self.from_lines(out), self.layout)
+        n_v, n_x = self.layout.n_v, self.layout.n_x
+        diag_t, left_t, right_t = self._stencil
+        g = u.values.reshape(n_v, 2 * n_x, 2)
+        padded = np.concatenate((g[-1:], g, g[:1]))
+        out = g @ diag_t
+        out += padded[:-2] @ left_t
+        out += padded[2:] @ right_t
+        return StateVector(out.reshape(-1), self.layout)
 
     def initial_condition(self) -> StateVector:
         """L2 projection of the modulated Gaussian onto the v basis;
@@ -129,7 +158,11 @@ class DgProblem:
     def jacobian_diagonal(self) -> StateVector:
         """Diagonal of the rhs Jacobian, for Jacobi preconditioning."""
         n_v, n_x = self.layout.n_v, self.layout.n_x
-        line_diag = np.diag(self._a1).reshape(n_v, 2)
+        own = self._diag
+        if n_v == 1:
+            # the single cell is its own left and right neighbour
+            own = own + self._left + self._right
+        line_diag = np.diagonal(own, axis1=1, axis2=2)
         g = np.empty((n_v, n_x, 2, 2))
         g[:] = line_diag[:, None, None, :]
         return StateVector(g.reshape(-1), self.layout)

@@ -95,8 +95,13 @@ def _check_layouts(err: StateVector, ref: StateVector):
 
 
 def _cell_rms(cells: np.ndarray) -> np.ndarray:
-    """Per-cell RMS of a (n_cells, n_b) array."""
-    return np.sqrt(np.mean(cells * cells, axis=1))
+    """Per-cell RMS of a (n_cells, n_b) array.
+
+    The mean over the n_b dofs is a product with a vector of 1/n_b:
+    np.mean along a short axis costs several times as much.
+    """
+    n_b = cells.shape[1]
+    return np.sqrt((cells * cells) @ np.full(n_b, 1.0 / n_b))
 
 
 def _wrms_cells(err_cells: np.ndarray, ref_cells: np.ndarray,

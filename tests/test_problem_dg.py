@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stsdiff.state import GridLayout, StateVector
-from stsdiff.problems.dg import DgProblem
+from stsdiff.problems.dg import SQ3, DgProblem
 
 
 def uniform_problem(n_v, n_x, nu=1.0, penalty_c=2.0):
@@ -17,6 +17,43 @@ def bench_problem(n_v, n_x, nu=1.0, penalty_c=2.0):
 def f0(v):
     return (1.0 + 0.3 * np.sin(2.0 * v)) / np.sqrt(5.5 * np.pi) \
         * np.exp(-v**2 / 5.5)
+
+
+def outer_line_matrix(p):
+    """Face-by-face dense assembly with outer products: the reference
+    the block assembly is checked against."""
+    n_v = p.layout.n_v
+    dv = p.layout.dv
+    n = 2 * n_v
+    a = np.zeros((n, n))
+    tau = p.penalty_c * 4.0 * p.face_d / dv
+    for i in range(n_v):
+        a[2 * i + 1, 2 * i + 1] += 12.0 / dv**2 * p.cell_d_integral[i]
+    for i in range(n_v):
+        left, right = i, (i + 1) % n_v
+        d = p.face_d[i]
+        # traces at the face: u- = g_L0 + sq3 g_L1, u+ = g_R0 - sq3 g_R1
+        jump = np.zeros(n)
+        jump[2 * left] += 1.0
+        jump[2 * left + 1] += SQ3
+        jump[2 * right] -= 1.0
+        jump[2 * right + 1] += SQ3
+        mean = np.zeros(n)
+        mean[2 * left + 1] += d * SQ3 / dv
+        mean[2 * right + 1] += d * SQ3 / dv
+        a -= np.outer(mean, jump) + np.outer(jump, mean)
+        a += tau[i] * np.outer(jump, jump)
+    return -a / dv
+
+
+STENCIL_GRIDS = pytest.mark.parametrize("n_v", [1, 2, 3, 8, 120])
+STENCIL_FORMS = pytest.mark.parametrize(
+    "modulation,penalty_c", [(0.0, 0.01), (0.0, 2.0), (0.99, 0.01),
+                             (0.99, 2.0)])
+
+
+def max_rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 class TestLineOperator:
@@ -46,6 +83,14 @@ class TestLineOperator:
         a = bench_problem(12, 1, penalty_c=0.01).line_matrix()
         lam = np.linalg.eigvalsh(a)
         assert lam[-1] > 1e-6 * abs(lam[0])
+
+    @STENCIL_GRIDS
+    @STENCIL_FORMS
+    def test_blocks_scatter_to_outer_product_assembly(self, n_v, modulation,
+                                                      penalty_c):
+        p = DgProblem(GridLayout("dg", n_v, 1), 1.0, penalty_c,
+                      modulation=modulation)
+        assert max_rel_gap(p.line_matrix(), outer_line_matrix(p)) <= 1e-13
 
 
 class TestRhs:
@@ -87,6 +132,21 @@ class TestRhs:
         assert np.all(dg[:, 1, 0, :] == 0.0)
         expected = (line.reshape(-1) @ p.line_matrix().T).reshape(8, 2)
         np.testing.assert_allclose(dg[:, 1, 1, :], expected, rtol=1e-13)
+
+    @STENCIL_GRIDS
+    @STENCIL_FORMS
+    @pytest.mark.parametrize("n_x", [1, 3])
+    def test_stencil_matches_dense_line_product(self, n_v, n_x, modulation,
+                                                penalty_c):
+        p = DgProblem(GridLayout("dg", n_v, n_x), 1.0, penalty_c,
+                      modulation=modulation)
+        a = p.line_matrix()
+        rng = np.random.default_rng(n_v * 10 + n_x)
+        for _ in range(3):
+            x = rng.standard_normal(p.layout.n_dof)
+            want = p.from_lines(p.to_lines(x) @ a.T)
+            got = p.rhs(0.0, StateVector(x, p.layout)).values
+            assert max_rel_gap(got, want) <= 1e-13
 
     def test_line_view_round_trip(self):
         p = bench_problem(8, 3)
@@ -195,6 +255,17 @@ def test_jacobian_diagonal_matches_assembled():
     a = p.assemble_matrix()
     np.testing.assert_allclose(
         p.jacobian_diagonal().values, np.diag(a), rtol=1e-12)
+
+
+@STENCIL_GRIDS
+@STENCIL_FORMS
+def test_jacobian_diagonal_matches_line_matrix(n_v, modulation, penalty_c):
+    p = DgProblem(GridLayout("dg", n_v, 3), 1.0, penalty_c,
+                  modulation=modulation)
+    want = np.diag(p.line_matrix()).reshape(n_v, 1, 1, 2)
+    got = p.jacobian_diagonal().values.reshape(n_v, 3, 2, 2)
+    np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
+                               rtol=1e-13)
 
 
 def test_rejects_fd_layout():

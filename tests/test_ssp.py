@@ -91,6 +91,16 @@ class TestSchemes:
             order_residuals(A, bt, c, sch.embedded_order), 0.0, atol=1e-13)
         assert violates_next_order(A, bt, c, sch.embedded_order)
 
+    def test_ssp4_error_weights_exactly_zero_where_weights_agree(self):
+        # b = 1/10 and b_embedded = 10/100 at stages 4 and 6-10; weights
+        # derived from float rows left b - b_embedded at -1.4e-17 there
+        sch = ssp_scheme(4)
+        _, b, _ = sch.butcher()
+        d = b - sch.b_embedded
+        zero = np.array([4, 6, 7, 8, 9, 10]) - 1
+        assert np.all(d[zero] == 0.0)
+        assert np.all(np.delete(d, zero) != 0.0)
+
     def test_ssp_coefficients(self):
         assert ssp_scheme(2).ssp_coefficient() == pytest.approx(1.0)
         assert ssp_scheme(3).ssp_coefficient() == pytest.approx(2.0)

@@ -154,6 +154,14 @@ class TestCellNorm:
         assert _cell_rms(np.array([[1.0, 2.0]]))[0] == pytest.approx(
             np.sqrt(2.5), rel=1e-14)
 
+    @pytest.mark.parametrize("n_b", [4, 2, 1])
+    def test_matches_mean_of_squares(self, n_b):
+        rng = np.random.default_rng(n_b)
+        for scale in (1.0, 1e-150, 1e150):
+            cells = scale * rng.standard_normal((2400, n_b))
+            want = np.sqrt(np.mean(cells * cells, axis=1))
+            np.testing.assert_allclose(_cell_rms(cells), want, rtol=1e-14)
+
     def test_duplicated_pattern_public_path(self):
         g = GridLayout("dg", 1, 1)
         u = make_state([1.0, 2.0, 1.0, 2.0], g)
