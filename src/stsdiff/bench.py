@@ -1,11 +1,11 @@
 """Benchmark harness: single experiments and named studies with CSV
-output and cached reference solutions.
+output.
 
 A reference is the exact semi-discrete solution exp(A t) f0, from one
 eigendecomposition of the symmetric line block that both block-diagonal
-operators repeat on every line.  References can be cached per
-configuration fingerprint; the fingerprint covers exactly the fields
-that affect the true solution, so solver-only changes reuse the cache.
+operators repeat on every line; it is rebuilt for every experiment.
+Each row carries the configuration fingerprint, which covers exactly the
+fields that affect the true solution.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import hashlib
 import math
 import os
-import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,8 +32,6 @@ from .timeloop import (
 )
 
 N_SAMPLES = 20
-# cached files without this marker hold older, less accurate references
-CACHE_FORMAT = "eigh-line-1"
 
 CSV_COLUMNS = [
     "study", "method", "problem", "nu", "n_v", "n_x", "rtol_or_h", "norm",
@@ -73,8 +70,14 @@ class ExperimentConfig:
             raise ValueError("grid extents must be positive")
         if self.nu <= 0 or self.t_f <= 0:
             raise ValueError("nu and t_f must be positive")
+        if self.norm not in ("component", "cell"):
+            raise ValueError(f"unknown norm {self.norm!r}")
+        if self.eig_mode not in ("user", "power"):
+            raise ValueError(f"unknown eig mode {self.eig_mode!r}")
         if not self.rtol and not self.fixed_h:
             raise ValueError("need at least one rtol or fixed_h point")
+        if not all(x > 0 for x in self.rtol + self.fixed_h):
+            raise ValueError("rtol and fixed_h entries must be positive")
 
     def fingerprint(self) -> str:
         key = (f"problem={self.problem};nu={self.nu!r};n_v={self.n_v};"
@@ -123,36 +126,19 @@ def _line_reference(problem, times) -> np.ndarray:
                      for t in times])
 
 
-def compute_reference(cfg: ExperimentConfig, cache_dir: str | None = None
-                      ) -> ReferenceSolution:
-    fp = cfg.fingerprint()
-    path = None
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, f"ref_{fp}.npz")
-        if os.path.exists(path):
-            with np.load(path, allow_pickle=False) as dat:
-                if str(dat.get("format")) == CACHE_FORMAT:
-                    return ReferenceSolution(dat["times"], dat["snapshots"],
-                                             fp)
-    problem = build_problem(cfg)
+def _reference(cfg: ExperimentConfig, problem) -> ReferenceSolution:
     times = sample_times(cfg.t_f)
-    snapshots = _line_reference(problem, times)
-    if path is not None:
-        # written beside path and renamed, so no reader sees a partial file
-        lay = problem.layout
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, times=times, snapshots=snapshots,
-                         format=np.str_(CACHE_FORMAT), kind=np.str_(lay.kind),
-                         n_v=np.int64(lay.n_v), n_x=np.int64(lay.n_x),
-                         endianness=np.str_("little"), fingerprint=np.str_(fp))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return ReferenceSolution(times, snapshots, fp)
+    return ReferenceSolution(times, _line_reference(problem, times),
+                             cfg.fingerprint())
+
+
+def compute_reference(cfg: ExperimentConfig, cache_dir=None
+                      ) -> ReferenceSolution:
+    """The exact reference for cfg's problem, built afresh.  cache_dir
+    is accepted only as None: references are no longer stored."""
+    if cache_dir is not None:
+        raise ValueError("the reference cache was removed")
+    return _reference(cfg, build_problem(cfg))
 
 
 def error_metrics(samples, ref: ReferenceSolution):
@@ -203,13 +189,13 @@ def _fill_row(row: dict, stats, samples, ref: ReferenceSolution):
         row["error_Linf20"], row["error_maxmax"] = error_metrics(samples, ref)
 
 
-def run_experiment(cfg: ExperimentConfig, cache_dir: str | None = None,
-                   study: str = "", write: bool = True):
+def run_experiment(cfg: ExperimentConfig, study: str = "",
+                   write: bool = True):
     """One row per (rtol | fixed_h) point; writes cfg.out unless told
     not to and always returns the rows."""
-    ref = compute_reference(cfg, cache_dir)
     problem = build_problem(cfg)
-    times = list(sample_times(cfg.t_f))
+    ref = _reference(cfg, problem)
+    times = list(ref.times)
     eig = _eig_policy(cfg)
     rows = []
 
@@ -291,12 +277,11 @@ def _study_points(name: str, base: ExperimentConfig):
     raise ValueError(f"unknown study {name!r}; choose from {STUDY_NAMES}")
 
 
-def study(name: str, base: ExperimentConfig,
-          cache_dir: str | None = None):
+def study(name: str, base: ExperimentConfig):
     """Expands base into the named sweep, runs every point, writes one
     CSV at base.out, and returns the rows."""
     rows = []
     for cfg in _study_points(name, base):
-        rows.extend(run_experiment(cfg, cache_dir, study=name, write=False))
+        rows.extend(run_experiment(cfg, study=name, write=False))
     write_csv(base.out, rows)
     return rows

@@ -58,7 +58,6 @@ def _add_flags(sub: argparse.ArgumentParser) -> None:
                      help="comma-separated list of step sizes")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--out")
-    sub.add_argument("--cache-dir", dest="cache_dir")
 
 
 def _load_config_file(path: str) -> dict:
@@ -113,9 +112,9 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         if args.command == "run":
-            rows = run_experiment(cfg, cache_dir=args.cache_dir)
+            rows = run_experiment(cfg)
         else:
-            rows = study(args.name, cfg, cache_dir=args.cache_dir)
+            rows = study(args.name, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

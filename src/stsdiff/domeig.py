@@ -31,7 +31,6 @@ class PowerIterConfig:
     tau: float = 0.1
     max_iters: int = 100
     seed: int = 0
-    norm_kind: str = "component"
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -45,15 +44,6 @@ class DomEigEstimate:
     lambda_approx: float
     iters: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class EigSafety:
-    q_lambda: float = 1.1
-
-    def __post_init__(self):
-        if not self.q_lambda > 0:
-            raise ValueError("eigensafety factor must be positive")
 
 
 def min_safe_q(tau: float) -> float:
@@ -70,7 +60,7 @@ def min_safe_q(tau: float) -> float:
     return 1.0 / (1.0 - tau)
 
 
-def warn_if_unsafe(safety: EigSafety, tau: float) -> bool:
+def warn_if_unsafe(q_lambda: float, tau: float) -> bool:
     """Warn, and return True, when q is at or below min_safe_q(tau).
 
     Silence is not a guarantee: the threshold holds only where the tau
@@ -78,9 +68,9 @@ def warn_if_unsafe(safety: EigSafety, tau: float) -> bool:
     gap (see min_safe_q).
     """
     threshold = min_safe_q(tau)
-    if safety.q_lambda <= threshold:
+    if q_lambda <= threshold:
         warnings.warn(
-            f"eigensafety factor {safety.q_lambda} is at or below "
+            f"eigensafety factor {q_lambda} is at or below "
             f"1/(1-tau) = {threshold:.4f}; eigenvalue underestimation can "
             f"cause step failures", stacklevel=2)
         return True
@@ -147,7 +137,7 @@ def power_iterate(rhs, t: float, f: StateVector, cfg: PowerIterConfig,
     k = 0
     while k < cfg.max_iters:
         k += 1
-        w = _dq(rhs, t, f, v, tol, cfg.norm_kind, base)
+        w = _dq(rhs, t, f, v, tol, "component", base)
         if not np.all(np.isfinite(w)):
             raise NonFiniteProductError(
                 "non-finite values in power iteration product")
@@ -171,7 +161,7 @@ def power_iterate(rhs, t: float, f: StateVector, cfg: PowerIterConfig,
     return DomEigEstimate(lam, cfg.max_iters, False)
 
 
-def effective_lambda(est: DomEigEstimate, safety: EigSafety) -> float:
+def effective_lambda(est: DomEigEstimate, q_lambda: float) -> float:
     """Magnitude fed to stage-count selection: q_lambda * |lambda|."""
     if not est.converged:
         raise ValueError("eigenvalue estimate did not converge")
@@ -179,4 +169,4 @@ def effective_lambda(est: DomEigEstimate, safety: EigSafety) -> float:
         raise ValueError(
             f"dominant eigenvalue {est.lambda_approx} has positive real "
             f"part; the integrators assume a negative real spectrum")
-    return safety.q_lambda * abs(est.lambda_approx)
+    return q_lambda * abs(est.lambda_approx)

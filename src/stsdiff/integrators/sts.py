@@ -146,8 +146,7 @@ def stability_interval(family: str, s: int) -> float:
     raise ValueError(f"unknown family {family!r}")
 
 
-def stage_count(h: float, lambda_eff: float, family: str,
-                cap: int = STAGE_CAP) -> int:
+def stage_count(h: float, lambda_eff: float, family: str) -> int:
     """Smallest s >= 2 whose stability interval covers h * lambda_eff."""
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -160,9 +159,9 @@ def stage_count(h: float, lambda_eff: float, family: str,
     s = max(2, int(np.sqrt(target / 0.65)) - 2)
     while stability_interval(family, s) < target:
         s += 1
-        if s > cap:
+        if s > STAGE_CAP:
             raise StageCountError(
-                f"step needs more than {cap} stages "
+                f"step needs more than {STAGE_CAP} stages "
                 f"(h*lambda = {target:.3g}); reduce the step size")
     while s > 2 and stability_interval(family, s - 1) >= target:
         s -= 1

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domeig import (
-    EigSafety,
     PowerIterConfig,
     ZeroOperatorError,
     effective_lambda,
@@ -42,25 +41,23 @@ from .state import StateVector, ToleranceSpec, wrms
 
 BLOWUP_FACTOR = 1e10
 MAX_CONSECUTIVE_REJECTIONS = 10
+# step-size controller: safety factor on the optimal step, cap on the
+# growth per step (looser when the first attempt is accepted, since its
+# step came from a derivative estimate, not a measured error) and the
+# shrink floor
+SAFETY = 0.9
+GROWTH = 1.5
+FIRST_STEP_GROWTH = 20.0
+SHRINK = 0.1
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    safety: float = 0.9
-    growth: float = 1.5
-    growth_first: float = 20.0
-    shrink: float = 0.1
-    order: int | None = None
+    """h0 fixes the first step in place of the derivative-based start;
+    h_min is the step below which a run aborts (1e-12 * t_f if None)."""
+
     h0: float | None = None
     h_min: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must lie in (0, 1]")
-        if not 0.0 < self.shrink < 1.0 < self.growth:
-            raise ValueError("need 0 < shrink < 1 < growth")
-        if self.growth_first < self.growth:
-            raise ValueError("first-step growth cap below the steady cap")
 
 
 @dataclass
@@ -110,7 +107,7 @@ class EigPolicy:
     def __post_init__(self):
         if self.mode not in ("power", "user"):
             raise ValueError(f"unknown eig mode {self.mode!r}")
-        if self.refresh not in ("once", "periodic", "on_failure"):
+        if self.refresh not in ("once", "periodic"):
             raise ValueError(f"unknown refresh policy {self.refresh!r}")
         if self.period < 1:
             raise ValueError("refresh period must be at least 1")
@@ -134,7 +131,7 @@ def refresh_domeig(problem, rhs, t, f, eig: EigPolicy, tol: ToleranceSpec,
     except ZeroOperatorError:
         return 0.0
     stats.domeig_iters += est.iters
-    return effective_lambda(est, EigSafety(eig.q_lambda))
+    return effective_lambda(est, eig.q_lambda)
 
 
 class _StsMethod:
@@ -280,7 +277,7 @@ class _EigTracker:
         self.lam_eff = None
         self.since_refresh = 0
         if active and eig.mode == "power":
-            warn_if_unsafe(EigSafety(eig.q_lambda), eig.power.tau)
+            warn_if_unsafe(eig.q_lambda, eig.power.tau)
 
     def current(self, t, f) -> float | None:
         if not self.active:
@@ -295,12 +292,6 @@ class _EigTracker:
             return
         self.since_refresh += 1
         if self.since_refresh >= self.eig.period:
-            self.lam_eff = refresh_domeig(self.problem, self.rhs, t, f,
-                                          self.eig, self.tol, self.stats)
-            self.since_refresh = 0
-
-    def after_reject(self, t, f):
-        if self.active and self.eig.refresh == "on_failure":
             self.lam_eff = refresh_domeig(self.problem, self.rhs, t, f,
                                           self.eig, self.tol, self.stats)
             self.since_refresh = 0
@@ -360,7 +351,7 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
     tracker.record_initial(f)
     eigs = _EigTracker(problem, rhs, eig, tol, stats,
                        active=method.family in ("sts", "ssp"))
-    p = controller.order if controller.order is not None else method.order
+    p = method.order
     expo = -1.0 / (p + 1.0)
     h_ctrl = controller.h0
     if h_ctrl is None:
@@ -401,17 +392,14 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
             consecutive_rejects = 0
             tracker.record_if_hit(t, f)
             eigs.after_accept(t, f)
-            cap = controller.growth_first if first_proposal \
-                else controller.growth
-            raw = (controller.safety * e_norm**expo if e_norm > 0.0
-                   else float("inf"))
+            cap = FIRST_STEP_GROWTH if first_proposal else GROWTH
+            raw = SAFETY * e_norm**expo if e_norm > 0.0 else float("inf")
             if clamped:
                 # the shortened landing step says nothing about growing
                 # the working step; only shrink if its error demands it
-                h_ctrl = min(h_ctrl,
-                             h_try * max(raw, controller.shrink))
+                h_ctrl = min(h_ctrl, h_try * max(raw, SHRINK))
             else:
-                h_ctrl = h_try * min(max(raw, controller.shrink), cap)
+                h_ctrl = h_try * min(max(raw, SHRINK), cap)
         else:
             stats.rejected += 1
             consecutive_rejects += 1
@@ -420,12 +408,10 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
                     f"{consecutive_rejects} consecutive rejections at "
                     f"t={t:.6e} (h={h_try:.3e}, E={e_norm:.3e})")
             if np.isfinite(e_norm):
-                factor = max(controller.shrink,
-                             controller.safety * e_norm**expo)
+                factor = max(SHRINK, SAFETY * e_norm**expo)
             else:
-                factor = controller.shrink
+                factor = SHRINK
             h_ctrl = h_try * factor
-            eigs.after_reject(t, f)
         first_proposal = False
 
     stats.wall_clock = time.perf_counter() - start

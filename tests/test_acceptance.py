@@ -38,11 +38,6 @@ BUDGET = {1: 120, 2: 60, 3: 300, 4: 600, 5: 60, 6: 300, 7: 600, 8: 300,
           9: 60, 10: 60, 11: 60}
 
 
-@pytest.fixture(scope="session")
-def cache_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("acceptance_refs"))
-
-
 def _verdict(num, label, ok, detail):
     print(f"ACCEPTANCE {num:02d} {label}: {'PASS' if ok else 'FAIL'} | "
           f"{detail}")
@@ -190,7 +185,7 @@ def test_02_stability_polynomial_bounds():
 # 3. tolerance tracking
 
 
-def test_03_tolerance_tracking(cache_dir):
+def test_03_tolerance_tracking():
     """Adaptive stabilized runs land within 10x of the requested
     relative tolerance on the finite-difference benchmark."""
     start = time.perf_counter()
@@ -202,7 +197,7 @@ def test_03_tolerance_tracking(cache_dir):
                 problem="fd", method=method, nu=nu, n_v=64, n_x=64,
                 rtol=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6), eig_mode="power",
                 q_lambda=1.2, out="unused.csv")
-            rows = run_experiment(cfg, cache_dir=cache_dir, write=False)
+            rows = run_experiment(cfg, write=False)
             rows_all.extend(rows)
             for r in rows:
                 worst = max(worst, r["error_Linf20"] / r["rtol_or_h"])
@@ -314,20 +309,20 @@ def test_05_power_iteration_quality():
 # 6. eigenvalue mode efficiency
 
 
-def _floor_runtime_rows(cfg, cache_dir, reps=5):
+def _floor_runtime_rows(cfg, reps=5):
     # scheduler noise only ever adds wall time, so the min over repeats
     # is the stable estimate of the true cost
     rows = None
     walls = []
     for _ in range(reps):
-        rows = run_experiment(cfg, cache_dir=cache_dir, write=False)
+        rows = run_experiment(cfg, write=False)
         walls.append(rows[0]["runtime_s"])
     row = dict(rows[0])
     row["runtime_s"] = min(walls)
     return row
 
 
-def test_06_eigenvalue_mode_efficiency(cache_dir):
+def test_06_eigenvalue_mode_efficiency():
     """The safe analytic bound is 10-25% above the converged estimate,
     and runs driven by the estimate are at least as fast as runs driven
     by the bound at equal tolerance."""
@@ -344,7 +339,7 @@ def test_06_eigenvalue_mode_efficiency(cache_dir):
                 problem="dg", method=method, nu=1.0, n_v=120, n_x=20,
                 rtol=(1e-4,), norm="cell", eig_mode=mode, q_lambda=1.2,
                 out="unused.csv")
-            results[method, mode] = _floor_runtime_rows(cfg, cache_dir)
+            results[method, mode] = _floor_runtime_rows(cfg)
     elapsed = time.perf_counter() - start
     txt = []
     ok = 1.10 <= ratio <= 1.25
@@ -370,7 +365,7 @@ def test_06_eigenvalue_mode_efficiency(cache_dir):
 # 7. norm comparison
 
 
-def _norm_sweeps(method, rtols, cache_dir, reps):
+def _norm_sweeps(method, rtols, reps):
     """Cell- and component-norm sweeps of one method.  At each tolerance
     the two norms run back to back, in alternating order, so that both
     see the same machine load; each row's runtime is the median over the
@@ -385,8 +380,7 @@ def _norm_sweeps(method, rtols, cache_dir, reps):
                                        n_v=120, n_x=20, rtol=(rtol,),
                                        norm=norm, eig_mode="power",
                                        q_lambda=1.2, out="unused.csv")
-                (rows[norm, rtol],) = run_experiment(
-                    cfg, cache_dir=cache_dir, write=False)
+                (rows[norm, rtol],) = run_experiment(cfg, write=False)
                 walls[norm, rtol].append(rows[norm, rtol]["runtime_s"])
             norms.reverse()
     return [[dict(rows[norm, rt], runtime_s=float(np.median(walls[norm, rt])))
@@ -405,15 +399,15 @@ def _matched_error_pairs(cell_rows, comp_rows):
     return pairs
 
 
-def test_07_norm_comparison(cache_dir):
+def test_07_norm_comparison():
     """Per-cell error weighting removes the loose-tolerance rejections
     that per-dof weighting suffers on the element benchmark, and is not
     slower wherever the two norms reach the same error level."""
     start = time.perf_counter()
     rkl_rtols = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-    rkl_cell, rkl_comp = _norm_sweeps("rkl", rkl_rtols, cache_dir, reps=5)
+    rkl_cell, rkl_comp = _norm_sweeps("rkl", rkl_rtols, reps=5)
     ssp_rtols = (1e-4, 1e-6, 1e-8)
-    ssp_cell, ssp_comp = _norm_sweeps("ssp4", ssp_rtols, cache_dir, reps=5)
+    ssp_cell, ssp_comp = _norm_sweeps("ssp4", ssp_rtols, reps=5)
 
     loose_comp = [r["failure_rate"] for r in rkl_comp
                   if r["rtol_or_h"] >= 1e-3]
@@ -542,7 +536,7 @@ def test_09_conservation_and_spectrum():
 # 10. independent numerical routes agree
 
 
-def test_10_oracle_equivalences(cache_dir):
+def test_10_oracle_equivalences():
     """The matrix-free pieces match their assembled/dense counterparts,
     and the per-line reference and a tight-tolerance march both match
     the dense matrix exponential on small grids."""

@@ -1,4 +1,4 @@
-import os
+import argparse
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stsdiff.bench import (
-    CACHE_FORMAT,
     CSV_COLUMNS,
     ExperimentConfig,
     ReferenceSolution,
@@ -19,6 +18,7 @@ from stsdiff.bench import (
     sample_times,
     study,
 )
+from stsdiff.cli import build_config
 from stsdiff.errors import IntegrationAbort
 from stsdiff.problems import DgProblem, FdProblem
 from stsdiff.state import GridLayout, StateVector
@@ -34,7 +34,7 @@ def small_cfg(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(problem="fem")
     with pytest.raises(ValueError):
@@ -47,6 +47,20 @@ def test_config_validation():
         ExperimentConfig(nu=-1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(rtol=(), fixed_h=())
+    with pytest.raises(ValueError):
+        ExperimentConfig(norm="bogus")
+    with pytest.raises(ValueError):
+        ExperimentConfig(eig_mode="exact")
+    for bad in (dict(rtol=(1e-3, 0.0)), dict(rtol=(-1e-3,)),
+                dict(fixed_h=(0.05, -0.01)), dict(rtol=(), fixed_h=(0.0,))):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+    # argparse choices guard only the flags, so the config itself must
+    # reject a bad value read from a YAML file
+    cfgfile = tmp_path / "bad.yaml"
+    cfgfile.write_text("norm: bogus\nfixed_h: [0.05]\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="norm"):
+        build_config(argparse.Namespace(config=str(cfgfile)))
 
 
 def test_fingerprint_tracks_solution_fields_only(tmp_path):
@@ -69,7 +83,7 @@ def test_reference_provenance_paths_agree(tmp_path):
     # the per-line route against the dense N x N oracle
     for problem, nv, nx in (("fd", 32, 1), ("dg", 8, 2)):
         cfg = small_cfg(tmp_path, problem=problem, n_v=nv, n_x=nx)
-        ref = compute_reference(cfg, str(tmp_path / "cache"))
+        ref = compute_reference(cfg)
         assert ref.snapshots.shape == (20, build_problem(cfg).layout.n_dof)
         dense = _expm_reference(build_problem(cfg), sample_times(cfg.t_f))
         rel = (np.max(np.abs(dense - ref.snapshots))
@@ -77,48 +91,22 @@ def test_reference_provenance_paths_agree(tmp_path):
         assert rel < 5e-8
 
 
-def test_reference_cache_round_trip(tmp_path):
-    cache = str(tmp_path / "cache")
-    cfg = small_cfg(tmp_path)
-    ref = compute_reference(cfg, cache)
-    files = os.listdir(cache)
-    assert files == [f"ref_{cfg.fingerprint()}.npz"]
-    with np.load(os.path.join(cache, files[0])) as dat:
-        assert str(dat["format"]) == CACHE_FORMAT
-        assert str(dat["kind"]) == "fd"
-        assert int(dat["n_v"]) == 32
-        assert str(dat["endianness"]) == "little"
-    again = compute_reference(cfg, cache)
-    np.testing.assert_array_equal(again.snapshots, ref.snapshots)
-    np.testing.assert_array_equal(again.times, ref.times)
+def test_reference_cache_argument_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="cache"):
+        compute_reference(small_cfg(tmp_path), cache_dir="x")
 
 
-def test_stale_reference_cache_is_rebuilt(tmp_path):
-    # a file of the old format: same name, march snapshots off by 1e-9
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    cfg = small_cfg(tmp_path)
-    path = cache / f"ref_{cfg.fingerprint()}.npz"
-    exact = compute_reference(cfg, None)
-    np.savez(path, times=exact.times, snapshots=exact.snapshots + 1e-9,
-             provenance=np.str_("tight"))
-    ref = compute_reference(cfg, str(cache))
-    np.testing.assert_array_equal(ref.snapshots, exact.snapshots)
-    with np.load(path) as dat:
-        assert str(dat["format"]) == CACHE_FORMAT
-        np.testing.assert_array_equal(dat["snapshots"], exact.snapshots)
-    assert os.listdir(cache) == [path.name]
+def test_run_experiment_builds_the_problem_once(tmp_path, monkeypatch):
+    built = []
 
+    def counting(cfg):
+        built.append(cfg)
+        return build_problem(cfg)
 
-def test_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
-    def boom(*a, **kw):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(np, "savez", boom)
-    cache = tmp_path / "cache"
-    with pytest.raises(OSError, match="disk full"):
-        compute_reference(small_cfg(tmp_path), str(cache))
-    assert os.listdir(cache) == []
+    monkeypatch.setattr("stsdiff.bench.build_problem", counting)
+    cfg = small_cfg(tmp_path, rtol=(1e-3,), fixed_h=(0.05,))
+    rows = run_experiment(cfg, write=False)
+    assert len(rows) == 2 and len(built) == 1
 
 
 def test_reference_needs_no_dense_matrix_or_time_march(tmp_path,
@@ -135,11 +123,11 @@ def test_reference_needs_no_dense_matrix_or_time_march(tmp_path,
     monkeypatch.setattr(DgProblem, "assemble_matrix", boom)
     monkeypatch.setattr("stsdiff.bench.advance_adaptive", boom)
     for cfg, want in zip(smalls, dense):
-        got = compute_reference(cfg, None).snapshots
+        got = compute_reference(cfg).snapshots
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
     for problem, nv, nx in (("dg", 120, 20), ("fd", 64, 64)):
         cfg = small_cfg(tmp_path, problem=problem, n_v=nv, n_x=nx)
-        ref = compute_reference(cfg, None)
+        ref = compute_reference(cfg)
         assert ref.snapshots.shape == (20, build_problem(cfg).layout.n_dof)
         m0 = _mass(problem, build_problem(cfg).initial_condition().values)
         for snap in ref.snapshots:
@@ -162,7 +150,7 @@ def test_zero_operator_reference_is_the_initial_state():
 def test_reference_snapshots_conserve_mass(tmp_path, problem, nv, nx):
     cfg = small_cfg(tmp_path, problem=problem, n_v=nv, n_x=nx,
                     method="rkl")
-    ref = compute_reference(cfg, None)
+    ref = compute_reference(cfg)
     m0 = _mass(problem, build_problem(cfg).initial_condition().values)
     for k in range(20):
         assert abs(_mass(problem, ref.snapshots[k]) - m0) <= 1e-12 * abs(m0)
@@ -212,7 +200,7 @@ def test_error_metrics_rejects_bad_inputs():
 
 def test_rtol_sweep_rows_monotone_and_within_tolerance_band(tmp_path):
     cfg = small_cfg(tmp_path, n_v=64, rtol=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
-    rows = run_experiment(cfg, str(tmp_path / "cache"))
+    rows = run_experiment(cfg)
     assert len(rows) == 5
     errs = [r["error_Linf20"] for r in rows]
     assert all(errs[i] >= errs[i + 1] for i in range(4))
@@ -225,7 +213,7 @@ def test_rtol_sweep_rows_monotone_and_within_tolerance_band(tmp_path):
 def test_fixed_step_sweep_marks_blow_up(tmp_path):
     cfg = small_cfg(tmp_path, method="ssp2", n_v=64, rtol=(),
                     fixed_h=(5e-2, 1e-2, 2e-3, 2e-4))
-    rows = run_experiment(cfg, str(tmp_path / "cache"))
+    rows = run_experiment(cfg)
     blew = [r["blew_up"] for r in rows]
     assert blew == [True, True, False, False]
     assert all(np.isnan(r["error_Linf20"]) for r in rows[:2])
@@ -235,14 +223,12 @@ def test_fixed_step_sweep_marks_blow_up(tmp_path):
 
 def test_reruns_are_identical_outside_timing(tmp_path):
     cfg = small_cfg(tmp_path, rtol=(1e-3, 1e-5))
-    cache = str(tmp_path / "cache")
 
     def strip(rows):
         return [{k: v for k, v in r.items() if k != "runtime_s"}
                 for r in rows]
 
-    assert strip(run_experiment(cfg, cache)) == strip(
-        run_experiment(cfg, cache))
+    assert strip(run_experiment(cfg)) == strip(run_experiment(cfg))
 
 
 def test_abort_becomes_status_row(tmp_path, monkeypatch):
@@ -250,7 +236,7 @@ def test_abort_becomes_status_row(tmp_path, monkeypatch):
         raise IntegrationAbort("forced")
 
     monkeypatch.setattr("stsdiff.bench.advance_adaptive", boom)
-    rows = run_experiment(small_cfg(tmp_path), None)
+    rows = run_experiment(small_cfg(tmp_path))
     assert rows[0]["status"] == "abort"
     assert np.isnan(rows[0]["error_Linf20"])
 
@@ -260,7 +246,7 @@ def test_steps_past_stage_cap_still_return_rows(tmp_path):
     # STAGE_CAP stages
     cfg = small_cfg(tmp_path, problem="dg", n_v=16, n_x=1, nu=1e7, rtol=(),
                     fixed_h=(0.5, 0.05), eig_mode="user")
-    rows = run_experiment(cfg, None)
+    rows = run_experiment(cfg)
     assert [r["blew_up"] for r in rows] == [True, True]
     assert all(np.isnan(r["error_Linf20"]) for r in rows)
     assert len(open(cfg.out, encoding="utf-8").read().splitlines()) == 3
@@ -268,7 +254,7 @@ def test_steps_past_stage_cap_still_return_rows(tmp_path):
 
 def test_csv_schema_and_formatting(tmp_path):
     cfg = small_cfg(tmp_path)
-    run_experiment(cfg, str(tmp_path / "cache"))
+    run_experiment(cfg)
     lines = open(cfg.out, encoding="utf-8").read().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     fields = lines[1].split(",")
@@ -301,7 +287,7 @@ def test_study_expansion_grids(tmp_path):
 
 def test_study_writes_single_labeled_csv(tmp_path):
     base = small_cfg(tmp_path, rtol=(1e-3, 1e-4))
-    rows = study("eigmode", base, str(tmp_path / "cache"))
+    rows = study("eigmode", base)
     assert len(rows) == 4
     assert {r["study"] for r in rows} == {"eigmode"}
     assert {r["eig_mode"] for r in rows} == {"user", "power"}

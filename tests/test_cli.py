@@ -1,8 +1,16 @@
 import argparse
+from dataclasses import fields
 
 import pytest
 
-from stsdiff.cli import _FIELD_FOR_FLAG, _load_config_file, build_config, main
+from stsdiff.bench import ExperimentConfig
+from stsdiff.cli import (
+    _FIELD_FOR_FLAG,
+    _add_flags,
+    _load_config_file,
+    build_config,
+    main,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -19,7 +27,7 @@ def test_run_subcommand_writes_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
     rc = main(["run", "--problem", "fd", "--method", "rkc", "--nv", "32",
                "--nx", "1", "--rtol", "1e-3,1e-4", "--q-lambda", "1.2",
-               "--out", str(out), "--cache-dir", str(tmp_path / "cache")])
+               "--out", str(out)])
     assert rc == 0
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 3
@@ -30,8 +38,7 @@ def test_study_subcommand(tmp_path):
     out = tmp_path / "study.csv"
     rc = main(["study", "eigmode", "--problem", "fd", "--method", "rkl",
                "--nv", "32", "--nx", "1", "--rtol", "1e-3",
-               "--q-lambda", "1.2", "--out", str(out),
-               "--cache-dir", str(tmp_path / "cache")])
+               "--q-lambda", "1.2", "--out", str(out)])
     assert rc == 0
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 3
@@ -87,3 +94,21 @@ def test_invalid_flag_combination_exits_nonzero(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_every_flag_is_backed_by_a_config_field():
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert set(_FIELD_FOR_FLAG.values()) <= names
+    parser = argparse.ArgumentParser()
+    _add_flags(parser)
+    dests = {a.dest for a in parser._actions} - {"help", "config"}
+    assert dests == set(_FIELD_FOR_FLAG)
+
+
+def test_removed_cache_dir_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "fd", "--nv", "32", "--nx", "1",
+              "--out", str(tmp_path / "x.csv"),
+              "--cache-dir", str(tmp_path / "cache")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()

@@ -3,7 +3,6 @@ import pytest
 
 from stsdiff.domeig import (
     DomEigEstimate,
-    EigSafety,
     PowerIterConfig,
     PowerIterationError,
     constant_mode,
@@ -42,22 +41,18 @@ class TestConfigs:
         with pytest.raises(ValueError):
             PowerIterConfig(max_iters=1)
 
-    def test_safety_positive(self):
-        with pytest.raises(ValueError):
-            EigSafety(q_lambda=0.0)
-
     def test_min_safe_q(self):
         assert min_safe_q(0.1) == pytest.approx(1.0 / 0.9, rel=1e-15)
 
     def test_warning_fires_at_or_below_threshold(self):
         with pytest.warns(UserWarning):
-            assert warn_if_unsafe(EigSafety(1.1), tau=0.1)
+            assert warn_if_unsafe(1.1, tau=0.1)
 
     def test_no_warning_above_threshold(self):
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not warn_if_unsafe(EigSafety(1.2), tau=0.1)
+            assert not warn_if_unsafe(1.2, tau=0.1)
 
 
 class TestMatvecDq:
@@ -226,19 +221,19 @@ class TestPowerIterate:
 class TestEffectiveLambda:
     def test_magnitude_with_safety(self):
         est = DomEigEstimate(-100.0, 3, True)
-        assert effective_lambda(est, EigSafety(1.1)) == pytest.approx(110.0)
+        assert effective_lambda(est, 1.1) == pytest.approx(110.0)
 
     def test_requires_convergence(self):
         with pytest.raises(ValueError):
-            effective_lambda(DomEigEstimate(-5.0, 100, False), EigSafety())
+            effective_lambda(DomEigEstimate(-5.0, 100, False), 1.1)
 
     def test_positive_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
-            effective_lambda(DomEigEstimate(2.5, 3, True), EigSafety())
+            effective_lambda(DomEigEstimate(2.5, 3, True), 1.1)
 
     def test_roundoff_positive_tolerated(self):
         est = DomEigEstimate(1e-14, 3, True)
-        assert effective_lambda(est, EigSafety(1.1)) == pytest.approx(
+        assert effective_lambda(est, 1.1) == pytest.approx(
             1.1e-14, abs=1e-20)
 
 
