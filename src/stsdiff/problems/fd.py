@@ -48,10 +48,17 @@ class FdProblem:
         """du_i = [D_{i+1/2}(u_{i+1}-u_i) - D_{i-1/2}(u_i-u_{i-1})] / dv^2."""
         if u.layout != self.layout:
             raise ValueError("state layout does not match problem layout")
-        g = u.values.reshape(self.layout.n_v, self.layout.n_x)
-        fr = self.face_d[:, None]
-        flux = fr * (np.roll(g, -1, axis=0) - g)
-        du = (flux - np.roll(flux, 1, axis=0)) / self.layout.dv**2
+        n_v, n_x = self.layout.n_v, self.layout.n_x
+        g = u.values.reshape(n_v, n_x)
+        # row k holds the flux through face k-1/2; row 0 is the periodic
+        # copy of row n_v
+        flux = np.empty((n_v + 1, n_x))
+        np.subtract(g[1:], g[:-1], out=flux[1:-1])
+        np.subtract(g[0], g[-1], out=flux[-1])
+        flux[1:] *= self.face_d[:, None]
+        flux[0] = flux[-1]
+        du = np.subtract(flux[1:], flux[:-1])
+        du /= self.layout.dv**2
         return StateVector(du.reshape(-1), self.layout)
 
     def initial_condition(self) -> StateVector:

@@ -15,7 +15,27 @@ def bench_problem(n_v, n_x, nu=1.0):
     return FdProblem(GridLayout("fd", n_v, n_x), nu)
 
 
+def roll_rhs(p, values):
+    """The rhs formula with rolled copies: the reference the sliced flux
+    stencil must match bit for bit."""
+    g = values.reshape(p.layout.n_v, p.layout.n_x)
+    flux = p.face_d[:, None] * (np.roll(g, -1, axis=0) - g)
+    return ((flux - np.roll(flux, 1, axis=0)) / p.layout.dv**2).reshape(-1)
+
+
 class TestRhs:
+    @pytest.mark.parametrize("n_v", [1, 2, 3, 8, 64, 128])
+    @pytest.mark.parametrize("modulation", [0.0, 0.99])
+    @pytest.mark.parametrize("n_x", [1, 3, 64])
+    def test_sliced_stencil_is_bitwise_the_rolled_formula(self, n_v, n_x,
+                                                          modulation):
+        p = FdProblem(GridLayout("fd", n_v, n_x), 1.0, modulation=modulation)
+        rng = np.random.default_rng(n_v * 100 + n_x)
+        for scale in (1e-100, 1.0, 1e100):
+            x = scale * rng.standard_normal(p.layout.n_dof)
+            got = p.rhs(0.0, StateVector(x, p.layout)).values
+            assert np.array_equal(got, roll_rhs(p, x))
+
     def test_constant_in_kernel(self):
         p = bench_problem(16, 4)
         u = StateVector(np.full(64, 2.7), p.layout)
