@@ -8,7 +8,6 @@ from .state import (
     GridLayout,
     StateVector,
     ToleranceSpec,
-    cell_norm,
     wrms,
     wrms_cellwise,
     wrms_component,
@@ -31,7 +30,6 @@ __all__ = [
     "ToleranceSpec",
     "advance_adaptive",
     "advance_fixed",
-    "cell_norm",
     "make_method",
     "wrms",
     "wrms_cellwise",

@@ -1,5 +1,6 @@
-"""Matrix-free dominant-eigenvalue estimation by power iteration with
-difference-quotient products, plus the eigensafety factor policy."""
+"""The Jacobian-free difference-quotient product, matrix-free
+dominant-eigenvalue estimation by power iteration with it, and the
+eigensafety factor policy."""
 
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ class PowerIterationError(RuntimeError):
 
 
 class ZeroOperatorError(PowerIterationError):
-    """The operator annihilated the start vector and its reseed, so
-    there is no stiffness to estimate."""
+    """The operator annihilated the start vector, so there is no
+    stiffness to estimate."""
 
 
 class NonFiniteProductError(PowerIterationError, StepFailure):
@@ -85,22 +86,26 @@ def constant_mode(layout: GridLayout) -> np.ndarray:
     return e / np.linalg.norm(e)
 
 
-def _dq(rhs, t, f: StateVector, v: np.ndarray, tol: ToleranceSpec,
-        norm_kind: str, base: np.ndarray) -> np.ndarray:
-    nrm = wrms(norm_kind, StateVector(v, f.layout), f, tol)
+def _dq(rhs, t: float, x: StateVector, base: np.ndarray, v: np.ndarray,
+        ref: StateVector, tol: ToleranceSpec, norm_kind: str) -> np.ndarray:
+    """Jacobian-free product J(x) v ~ (rhs(t, x + sigma v) - base) /
+    sigma with base = rhs(t, x) and sigma = 1/||v||_WRMS, weighted by
+    the state ref (Knoll & Keyes, J. Comput. Phys. 193, 2004).  Every
+    Jacobian product of the package is formed here, at one rhs call."""
+    nrm = wrms(norm_kind, StateVector(v, x.layout), ref, tol)
     if nrm == 0.0:
         raise ValueError("perturbation direction has zero weighted norm")
     sigma = 1.0 / nrm
-    pert = StateVector(f.values + sigma * v, f.layout)
+    pert = StateVector(x.values + sigma * v, x.layout)
     return (rhs(t, pert).values - base) / sigma
 
 
 def matvec_dq(rhs, t: float, f: StateVector, v: StateVector,
               tol: ToleranceSpec, norm_kind: str = "component") -> StateVector:
-    """Difference-quotient Jacobian product (rhs(t, f + sigma v) -
-    rhs(t, f)) / sigma with sigma = 1/||v||_WRMS, weights from f."""
+    """Difference-quotient Jacobian product at f, weights from f: _dq
+    plus the base evaluation rhs(t, f)."""
     base = rhs(t, f).values
-    return StateVector(_dq(rhs, t, f, v.values, tol, norm_kind, base),
+    return StateVector(_dq(rhs, t, f, base, v.values, f, tol, norm_kind),
                        f.layout)
 
 
@@ -125,31 +130,22 @@ def power_iterate(rhs, t: float, f: StateVector, cfg: PowerIterConfig,
     bounds the error only for a spectrum with a clear gap (see
     min_safe_q).  v0 overrides the seeded start vector; on_iterate(k,
     lam, v) is invoked after each product for diagnostics.  Raises
-    ZeroOperatorError when the operator annihilates the start vector and
-    its reseed, NonFiniteProductError on a non-finite product.
+    ZeroOperatorError when the operator annihilates the start vector,
+    NonFiniteProductError on a non-finite product.
     """
     v = _start_vector(f.layout, cfg.seed) if v0 is None else np.array(
         v0, dtype=float)
     base = rhs(t, f).values
     lam = 0.0
     lam_prev = None
-    reseeded = False
-    k = 0
-    while k < cfg.max_iters:
-        k += 1
-        w = _dq(rhs, t, f, v, tol, "component", base)
+    for k in range(1, cfg.max_iters + 1):
+        w = _dq(rhs, t, f, base, v, f, tol, "component")
         if not np.all(np.isfinite(w)):
             raise NonFiniteProductError(
                 "non-finite values in power iteration product")
         wnorm = np.linalg.norm(w)
         if wnorm == 0.0:
-            if reseeded:
-                raise ZeroOperatorError(
-                    "operator annihilated the start vector twice")
-            reseeded = True
-            v = _start_vector(f.layout, cfg.seed + 1)
-            k -= 1
-            continue
+            raise ZeroOperatorError("operator annihilated the start vector")
         lam = float(np.dot(v, w) / np.dot(v, v))
         if on_iterate is not None:
             on_iterate(k, lam, w / wnorm)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..domeig import _dq
 from ..errors import StepFailure
 from ..state import StateVector, ToleranceSpec, wrms
 
@@ -98,7 +99,7 @@ class CgError(RuntimeError):
 
 
 def cg_solve(apply_A, rhs_vec: np.ndarray, precond_diag: np.ndarray,
-             tol: float, max_iters: int, counter=None) -> np.ndarray:
+             tol: float, max_iters: int) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients on an SPD operator,
     run to relative residual tol."""
     bnorm = np.linalg.norm(rhs_vec)
@@ -111,8 +112,6 @@ def cg_solve(apply_A, rhs_vec: np.ndarray, precond_diag: np.ndarray,
     rz = float(np.dot(r, z))
     for _ in range(max_iters):
         ap = apply_A(p)
-        if counter is not None:
-            counter["cg_iters"] = counter.get("cg_iters", 0) + 1
         pap = float(np.dot(p, ap))
         if pap <= 0.0:
             raise CgError("operator is not positive definite along the "
@@ -132,13 +131,14 @@ def cg_solve(apply_A, rhs_vec: np.ndarray, precond_diag: np.ndarray,
 def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
               scheme: DirkScheme, newton: NewtonConfig,
               precond_diag: StateVector, tol: ToleranceSpec,
-              norm_kind: str = "component", stats=None):
+              norm_kind: str = "component"):
     """One DIRK step; returns (f_next, error_estimate).
 
     Each implicit stage solves F(z) = z - h A_ii G(t_i, z) - a_i = 0 by
     inexact Newton from the predictor z = f_n; the linearized systems
     (I - h A_ii J) delta = -F use matrix-free CG with the Jacobi
-    preconditioner diag(1 - h A_ii jac_diag)."""
+    preconditioner diag(1 - h A_ii jac_diag).  J v is the
+    difference-quotient product around z, weighted by f_n."""
     lay = f_n.layout
     s = scheme.s
     gs = np.zeros((s, lay.n_dof))
@@ -164,19 +164,15 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
             if rnorm <= newton.tol:
                 converged = True
                 break
-            if stats is not None:
-                stats["newton_iters"] = stats.get("newton_iters", 0) + 1
 
-            def apply_op(v, z=z, g_z=g_z, aii=aii, t_i=t_i):
-                nrm = wrms(norm_kind, StateVector(v, lay), f_n, tol)
-                sigma = 1.0 / nrm
-                jv = (rhs(t_i, StateVector(z + sigma * v, lay)).values
-                      - g_z) / sigma
-                return v - h * aii * jv
+            def apply_op(v, z=StateVector(z, lay), g_z=g_z, aii=aii,
+                         t_i=t_i):
+                return v - h * aii * _dq(rhs, t_i, z, g_z, v, f_n, tol,
+                                         norm_kind)
 
             try:
                 delta = cg_solve(apply_op, -resid, pd, cg_tol,
-                                 newton.max_cg, counter=stats)
+                                 newton.max_cg)
             except CgError as e:
                 raise StepFailure(f"stage linear solve failed: {e}")
             z = z + delta

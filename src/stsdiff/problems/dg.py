@@ -15,13 +15,14 @@ import numpy as np
 
 from ..state import GridLayout, StateVector
 from .fd import diffusion_coefficient
+from .lines import LineOperator
 
 SQ3 = np.sqrt(3.0)
-DENSE_GUARD = 4096
 STIFFNESS_QUAD = 2
+PROJECTION_QUAD = 8
 
 
-class DgProblem:
+class DgProblem(LineOperator):
     """Symmetric interior-penalty (SIPG) operator for d/dv(D(v) d/dv).
 
     Face penalty tau_f = penalty_c * (p+1)^2 * D(v_f) / dv with p = 1.
@@ -31,12 +32,14 @@ class DgProblem:
 
     The operator is stored as three (n_v, 2, 2) block arrays, assembled
     face by face, and rhs applies it as a block-tridiagonal stencil at
-    O(N) cost; line_matrix() scatters the blocks into the dense line
-    operator for the reference solution and the tests.
+    O(N) cost.  Each (x-cell, x-mode) pair is one line of the
+    LineOperator views, with the (avg, slope) dofs of every v-cell.
     """
 
+    modes = 2
+
     def __init__(self, layout: GridLayout, nu: float, penalty_c: float = 2.0,
-                 quad_order: int = 8, modulation: float = 0.99):
+                 modulation: float = 0.99):
         if layout.kind != "dg":
             raise ValueError("DgProblem requires a DG layout")
         if penalty_c <= 0:
@@ -44,14 +47,13 @@ class DgProblem:
         self.layout = layout
         self.nu = nu
         self.penalty_c = penalty_c
-        self.quad_order = quad_order
         self.modulation = modulation
 
         n_v = layout.n_v
         dv = layout.dv
         self.edges = -np.pi + dv * np.arange(n_v + 1)
         # cell integrals of D with a 2-point rule (exact enough for the
-        # linear-basis stiffness term; projections use quad_order)
+        # linear-basis stiffness term; projections use PROJECTION_QUAD)
         xq, wq = np.polynomial.legendre.leggauss(STIFFNESS_QUAD)
         centers = 0.5 * (self.edges[:-1] + self.edges[1:])
         vq = centers[:, None] + 0.5 * dv * xq[None, :]
@@ -98,31 +100,6 @@ class DgProblem:
         right = face(jl, jr)
         return -diag / dv, -left / dv, -right / dv
 
-    def line_matrix(self) -> np.ndarray:
-        """Dense (2 n_v, 2 n_v) operator of one (x-cell, x-mode) line,
-        scattered from the blocks.  With one or two cells the neighbours
-        coincide, so blocks landing on one place add up."""
-        n_v = self.layout.n_v
-        a = np.zeros((n_v, 2, n_v, 2))
-        i = np.arange(n_v)
-        np.add.at(a, (i, slice(None), i), self._diag)
-        np.add.at(a, (i, slice(None), (i - 1) % n_v), self._left)
-        np.add.at(a, (i, slice(None), (i + 1) % n_v), self._right)
-        return a.reshape(2 * n_v, 2 * n_v)
-
-    def to_lines(self, values: np.ndarray) -> np.ndarray:
-        """(2 n_x, 2 n_v) array of a flat state: row 2 k + a is the line
-        of x-cell k and x-mode a, holding dofs 2 i + b."""
-        n_v, n_x = self.layout.n_v, self.layout.n_x
-        g = values.reshape(n_v, n_x, 2, 2)
-        return g.transpose(1, 2, 0, 3).reshape(n_x * 2, n_v * 2)
-
-    def from_lines(self, lines: np.ndarray) -> np.ndarray:
-        """Flat state of a to_lines array."""
-        n_v, n_x = self.layout.n_v, self.layout.n_x
-        g = lines.reshape(n_x, 2, n_v, 2).transpose(2, 0, 1, 3)
-        return g.reshape(-1)
-
     def rhs(self, t: float, u: StateVector) -> StateVector:
         """Block-tridiagonal stencil on the cell-major layout: row (i, m)
         of the (n_v, 2 n_x, 2) view holds the (avg, slope) dofs of v-cell
@@ -143,7 +120,7 @@ class DgProblem:
         x-mode dofs are exactly zero."""
         n_v, n_x = self.layout.n_v, self.layout.n_x
         dv = self.layout.dv
-        xq, wq = np.polynomial.legendre.leggauss(self.quad_order)
+        xq, wq = np.polynomial.legendre.leggauss(PROJECTION_QUAD)
         centers = 0.5 * (self.edges[:-1] + self.edges[1:])
         vq = centers[:, None] + 0.5 * dv * xq[None, :]
         fq = (1.0 + 0.3 * np.sin(2.0 * vq)) / np.sqrt(5.5 * np.pi) \
@@ -153,18 +130,6 @@ class DgProblem:
         g = np.zeros((n_v, n_x, 2, 2))
         g[:, :, 0, 0] = g0[:, None]
         g[:, :, 0, 1] = g1[:, None]
-        return StateVector(g.reshape(-1), self.layout)
-
-    def jacobian_diagonal(self) -> StateVector:
-        """Diagonal of the rhs Jacobian, for Jacobi preconditioning."""
-        n_v, n_x = self.layout.n_v, self.layout.n_x
-        own = self._diag
-        if n_v == 1:
-            # the single cell is its own left and right neighbour
-            own = own + self._left + self._right
-        line_diag = np.diagonal(own, axis1=1, axis2=2)
-        g = np.empty((n_v, n_x, 2, 2))
-        g[:] = line_diag[:, None, None, :]
         return StateVector(g.reshape(-1), self.layout)
 
     def lambda_user(self) -> float:
@@ -178,17 +143,3 @@ class DgProblem:
         dmax = max(float(np.max(self.cell_average_d)),
                    float(np.max(self.face_d)))
         return (48.0 * self.penalty_c - 12.0) * dmax / self.layout.dv**2
-
-    def assemble_matrix(self) -> np.ndarray:
-        """Dense N x N oracle built column-by-column from rhs."""
-        n = self.layout.n_dof
-        if n > DENSE_GUARD:
-            raise ValueError(
-                f"dense assembly limited to N <= {DENSE_GUARD}, got {n}")
-        cols = np.empty((n, n))
-        e = np.zeros(n)
-        for j in range(n):
-            e[j] = 1.0
-            cols[:, j] = self.rhs(0.0, StateVector(e.copy(), self.layout)).values
-            e[j] = 0.0
-        return cols

@@ -139,14 +139,6 @@ def wrms_cellwise(err: StateVector, ref: StateVector, tol: ToleranceSpec) -> flo
     return _wrms_cells(err.cells(), ref.cells(), tol.rtol, tol.atol)
 
 
-def cell_norm(u: StateVector, cell_index: int) -> float:
-    """RMS over the n_b dofs of one cell."""
-    n_c = u.layout.n_cells
-    if not 0 <= cell_index < n_c:
-        raise IndexError(f"cell index {cell_index} out of range [0, {n_c})")
-    return float(_cell_rms(u.cells()[cell_index:cell_index + 1])[0])
-
-
 def wrms(kind: str, err: StateVector, ref: StateVector, tol: ToleranceSpec) -> float:
     """Dispatch on norm kind: "component" or "cell"."""
     if kind == "component":

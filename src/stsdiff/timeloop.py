@@ -20,8 +20,8 @@ import numpy as np
 from .domeig import (
     PowerIterConfig,
     ZeroOperatorError,
+    _dq,
     effective_lambda,
-    matvec_dq,
     power_iterate,
     warn_if_unsafe,
 )
@@ -318,18 +318,20 @@ def _start_step(rhs, t: float, f: StateVector, order: int, norm_kind: str,
     which puts the first step where the error grows more slowly than
     h^(p+1), so each retry from it is again too large.  At the h chosen
     here the modes that carry weight are resolved and the error grows
-    like h^(p+1).  Costs 2p+1 rhs calls.  Falls back to 1e-4 * span when
-    a derivative is not finite and returns span when one vanishes.
+    like h^(p+1).  Costs p+1 rhs calls: every product reuses the first
+    one, rhs(t, f), as its base.  Falls back to 1e-4 * span when a
+    derivative is not finite and returns span when one vanishes.
     """
-    d = rhs(t, f)
+    base = rhs(t, f).values
+    d = base
     for k in range(order + 1):
-        nrm = wrms(norm_kind, d, f, tol)
+        nrm = wrms(norm_kind, StateVector(d, f.layout), f, tol)
         if not np.isfinite(nrm):
             return 1e-4 * span
         if nrm == 0.0:
             return span
         if k < order:
-            d = matvec_dq(rhs, t, f, d, tol, norm_kind)
+            d = _dq(rhs, t, f, base, d, f, tol, norm_kind)
     return min(span, nrm ** (-1.0 / (order + 1.0)))
 
 

@@ -199,9 +199,8 @@ class TestPowerIterate:
         assert a == b
 
     def test_nullspace_start_reseeds(self):
-        # operator annihilates everything except it is zero: first the
-        # deflated seed start survives but maps to zero, forcing one
-        # reseed, which also maps to zero, so the iteration must fail
+        # the zero operator maps the deflated seed start to zero, and so
+        # would any other start, so the first product ends the iteration
         def rhs(t, u):
             return StateVector(np.zeros_like(u.values), u.layout)
         f = fixture_state(4)

@@ -23,6 +23,25 @@ def roll_rhs(p, values):
     return ((flux - np.roll(flux, 1, axis=0)) / p.layout.dv**2).reshape(-1)
 
 
+def loop_line_matrix(p):
+    """The line block entry by entry from the face diffusivities: the
+    reference the block probed from rhs is checked against."""
+    n = p.layout.n_v
+    dv2 = p.layout.dv**2
+    a = np.zeros((n, n))
+    for i in range(n):
+        fr = p.face_d[i]
+        fl = p.face_d[i - 1]
+        a[i, (i + 1) % n] += fr / dv2
+        a[i, i] -= (fr + fl) / dv2
+        a[i, (i - 1) % n] += fl / dv2
+    return a
+
+
+def loop_dense_matrix(p):
+    return np.kron(loop_line_matrix(p), np.eye(p.layout.n_x))
+
+
 class TestRhs:
     @pytest.mark.parametrize("n_v", [1, 2, 3, 8, 64, 128])
     @pytest.mark.parametrize("modulation", [0.0, 0.99])
@@ -84,10 +103,11 @@ class TestRhs:
         assert lines.shape == (3, 16)
         np.testing.assert_array_equal(lines[1], x.reshape(16, 3)[:, 1])
         np.testing.assert_array_equal(p.from_lines(lines), x)
+        a = loop_line_matrix(p)
         np.testing.assert_allclose(
-            p.from_lines(lines @ p.line_matrix().T),
+            p.from_lines(lines @ a.T),
             p.rhs(0.0, StateVector(x, p.layout)).values,
-            rtol=1e-12, atol=1e-12 * np.max(np.abs(p.line_matrix())))
+            rtol=1e-12, atol=1e-12 * np.max(np.abs(a)))
 
     def test_second_order_convergence(self):
         # manufactured solution: f = exp(sin v), analytic (D f')'
@@ -96,7 +116,7 @@ class TestRhs:
         sizes = [32, 64, 128, 256]
         for n in sizes:
             p = bench_problem(n, 1, nu)
-            v = p.nodes
+            v = -np.pi + np.arange(n) * p.layout.dv
             f = np.exp(np.sin(v))
             d = nu * (1.0 + 0.99 * np.sin(v))
             dprime = 0.99 * nu * np.cos(v)
@@ -149,9 +169,27 @@ class TestJacobianDiagonal:
 
     def test_matches_assembled_diagonal(self):
         p = bench_problem(8, 2)
-        a = p.assemble_matrix()
         np.testing.assert_allclose(
-            p.jacobian_diagonal().values, np.diag(a), rtol=1e-13)
+            p.jacobian_diagonal().values, np.diag(loop_dense_matrix(p)),
+            rtol=1e-13)
+
+
+class TestLineMatrix:
+    @pytest.mark.parametrize("n_v", [3, 4, 8, 64, 128])
+    @pytest.mark.parametrize("modulation", [0.0, 0.99])
+    @pytest.mark.parametrize("n_x", [1, 3, 64])
+    def test_probed_block_is_bitwise_the_loop_assembly(self, n_v, n_x,
+                                                       modulation):
+        p = FdProblem(GridLayout("fd", n_v, n_x), 1.0, modulation=modulation)
+        assert np.array_equal(p.line_matrix(), loop_line_matrix(p))
+
+    @pytest.mark.parametrize("n_v", [1, 2])
+    def test_coinciding_neighbours_match_the_loop_assembly(self, n_v):
+        # one or two points: both faces reach the same neighbour, and the
+        # loop adds their entries in another order
+        p = bench_problem(n_v, 3)
+        np.testing.assert_allclose(p.line_matrix(), loop_line_matrix(p),
+                                   rtol=1e-15, atol=1e-15)
 
 
 class TestLambdaUser:
@@ -175,7 +213,8 @@ class TestLambdaUser:
 class TestAssembleMatrix:
     def test_matches_rhs_action(self):
         p = bench_problem(12, 3)
-        a = p.assemble_matrix()
+        a = loop_dense_matrix(p)
+        assert np.array_equal(p.assemble_matrix(), a)
         rng = np.random.default_rng(2)
         for _ in range(20):
             u = rng.standard_normal(p.layout.n_dof)
@@ -200,7 +239,7 @@ class TestAssembleMatrix:
     def test_difference_quotient_consistency(self):
         # the operator is linear, so difference quotients are exact
         p = bench_problem(16, 2)
-        a = p.assemble_matrix()
+        a = loop_dense_matrix(p)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(p.layout.n_dof)
         w = rng.standard_normal(p.layout.n_dof)

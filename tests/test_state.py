@@ -7,7 +7,6 @@ from stsdiff.state import (
     ToleranceSpec,
     _cell_rms,
     _wrms_cells,
-    cell_norm,
     wrms,
     wrms_cellwise,
     wrms_component,
@@ -142,12 +141,12 @@ class TestCellNorm:
     def test_zero_cell(self):
         g = GridLayout("dg", 1, 1)
         u = make_state(np.zeros(4), g)
-        assert cell_norm(u, 0) == 0.0
+        assert _cell_rms(u.cells())[0] == 0.0
 
     def test_constant_cell(self):
         g = GridLayout("dg", 1, 1)
         u = make_state(np.ones(4), g)
-        assert cell_norm(u, 0) == pytest.approx(1.0)
+        assert _cell_rms(u.cells())[0] == pytest.approx(1.0)
 
     def test_two_dof_value(self):
         # RMS of (1, 2) is sqrt(2.5)
@@ -163,15 +162,13 @@ class TestCellNorm:
             np.testing.assert_allclose(_cell_rms(cells), want, rtol=1e-14)
 
     def test_duplicated_pattern_public_path(self):
+        # one DG cell through the public cell-wise norm: atol 1 and
+        # rtol * 0 weights leave the RMS of (1, 2, 1, 2)
         g = GridLayout("dg", 1, 1)
         u = make_state([1.0, 2.0, 1.0, 2.0], g)
-        assert cell_norm(u, 0) == pytest.approx(np.sqrt(2.5), rel=1e-14)
-
-    def test_out_of_range_index(self):
-        g = GridLayout("dg", 2, 2)
-        u = make_state(np.zeros(16), g)
-        with pytest.raises(IndexError):
-            cell_norm(u, 4)
+        zero = make_state(np.zeros(4), g)
+        assert wrms_cellwise(u, zero, ToleranceSpec(1.0, 1.0)) == \
+            pytest.approx(np.sqrt(2.5), rel=1e-14)
 
 
 class TestNormProperties:

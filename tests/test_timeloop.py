@@ -14,7 +14,9 @@ from stsdiff import (
 from stsdiff.errors import IntegrationAbort
 from stsdiff.integrators.sts import STAGE_CAP, stage_count
 from stsdiff.problems import DgProblem, FdProblem
-from stsdiff.timeloop import RunStats, refresh_domeig
+from stsdiff.domeig import matvec_dq
+from stsdiff.state import wrms
+from stsdiff.timeloop import RunStats, _start_step, refresh_domeig
 
 LAY = GridLayout("fd", 64, 1)
 PROB = FdProblem(LAY, nu=1.0)
@@ -293,6 +295,27 @@ def test_start_step_is_accepted_on_stiff_initial_state():
                      EigPolicy(mode="user", q_lambda=1.1),
                      ControllerConfig(), 1.0, TWENTY, step_log=log)
     assert [r.accepted for r in log if r.t == 0.0] == [True]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("kind,norm", [("fd", "component"), ("dg", "cell")])
+def test_start_step_costs_p_plus_one_rhs_calls(kind, norm, order):
+    prob = (PROB if kind == "fd"
+            else DgProblem(GridLayout("dg", 16, 2), nu=1.0))
+    f = prob.initial_condition()
+    calls = []
+
+    def rhs(t, u):
+        calls.append(t)
+        return prob.rhs(t, u)
+
+    h = _start_step(rhs, 0.0, f, order, norm, TOL, 1.0)
+    assert len(calls) == order + 1
+    # the same h as products that each evaluate their own base
+    d = prob.rhs(0.0, f)
+    for _ in range(order):
+        d = matvec_dq(prob.rhs, 0.0, f, d, TOL, norm)
+    assert h == min(1.0, wrms(norm, d, f, TOL) ** (-1.0 / (order + 1.0)))
 
 
 def test_user_mode_returns_scaled_formula_without_estimator_calls():
