@@ -23,7 +23,7 @@ from .errors import IntegrationAbort
 from .problems import DgProblem, FdProblem
 from .state import GridLayout, ToleranceSpec
 from .timeloop import (
-    ControllerConfig,
+    EIG_MODES,
     EigPolicy,
     METHOD_NAMES,
     advance_adaptive,
@@ -32,6 +32,8 @@ from .timeloop import (
 )
 
 N_SAMPLES = 20
+PROBLEM_NAMES = ("fd", "dg")
+NORM_NAMES = ("component", "cell")
 
 CSV_COLUMNS = [
     "study", "method", "problem", "nu", "n_v", "n_x", "rtol_or_h", "norm",
@@ -43,6 +45,12 @@ CSV_COLUMNS = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  Besides its fields it carries the settings its
+    integrations use, built at construction so that their own rules
+    reject a bad value before any integration runs: eig, the EigPolicy,
+    and points, one (rtol_or_h, ToleranceSpec, fixed h or None) per
+    rtol point and then per fixed_h point."""
+
     problem: str = "fd"
     method: str = "rkl"
     nu: float = 1.0
@@ -60,7 +68,7 @@ class ExperimentConfig:
     out: str = "results.csv"
 
     def __post_init__(self):
-        if self.problem not in ("fd", "dg"):
+        if self.problem not in PROBLEM_NAMES:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.method not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.method!r}")
@@ -70,14 +78,20 @@ class ExperimentConfig:
             raise ValueError("grid extents must be positive")
         if self.nu <= 0 or self.t_f <= 0:
             raise ValueError("nu and t_f must be positive")
-        if self.norm not in ("component", "cell"):
+        if self.norm not in NORM_NAMES:
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.eig_mode not in ("user", "power"):
-            raise ValueError(f"unknown eig mode {self.eig_mode!r}")
         if not self.rtol and not self.fixed_h:
             raise ValueError("need at least one rtol or fixed_h point")
-        if not all(x > 0 for x in self.rtol + self.fixed_h):
-            raise ValueError("rtol and fixed_h entries must be positive")
+        if not all(h > 0 for h in self.fixed_h):
+            raise ValueError("fixed_h entries must be positive")
+        object.__setattr__(self, "eig", EigPolicy(
+            mode=self.eig_mode, q_lambda=self.q_lambda, refresh="periodic",
+            period=25, power=PowerIterConfig(tau=self.tau, seed=self.seed)))
+        fixed_tol = ToleranceSpec(self.rtol[0] if self.rtol else 1e-6,
+                                  self.atol)
+        object.__setattr__(self, "points", tuple(
+            [(r, ToleranceSpec(r, self.atol), None) for r in self.rtol]
+            + [(h, fixed_tol, h) for h in self.fixed_h]))
 
     def fingerprint(self) -> str:
         key = (f"problem={self.problem};nu={self.nu!r};n_v={self.n_v};"
@@ -161,12 +175,6 @@ def error_metrics(samples, ref: ReferenceSolution):
     return linf20, maxmax
 
 
-def _eig_policy(cfg: ExperimentConfig) -> EigPolicy:
-    return EigPolicy(mode=cfg.eig_mode, q_lambda=cfg.q_lambda,
-                     refresh="periodic", period=25,
-                     power=PowerIterConfig(tau=cfg.tau, seed=cfg.seed))
-
-
 def _base_row(cfg: ExperimentConfig, point, study: str) -> dict:
     return {
         "study": study, "method": cfg.method, "problem": cfg.problem,
@@ -196,30 +204,21 @@ def run_experiment(cfg: ExperimentConfig, study: str = "",
     problem = build_problem(cfg)
     ref = _reference(cfg, problem)
     times = list(ref.times)
-    eig = _eig_policy(cfg)
     rows = []
-
-    for rtol in cfg.rtol:
-        tol = ToleranceSpec(rtol, cfg.atol)
+    for point, tol, h in cfg.points:
         method = make_method(cfg.method, problem, tol, cfg.norm)
-        row = _base_row(cfg, rtol, study)
+        row = _base_row(cfg, point, study)
         try:
-            samples, stats = advance_adaptive(problem, method, tol, cfg.norm,
-                                              eig, ControllerConfig(),
-                                              cfg.t_f, times)
-            _fill_row(row, stats, samples, ref)
+            if h is None:
+                samples, stats = advance_adaptive(
+                    problem, method, tol, cfg.norm, cfg.eig, t_f=cfg.t_f,
+                    sample_times=times)
+            else:
+                samples, stats, row["blew_up"] = advance_fixed(
+                    problem, method, h, cfg.t_f, times, tol=tol, eig=cfg.eig)
+            _fill_row(row, stats, None if row["blew_up"] else samples, ref)
         except IntegrationAbort:
             row["status"] = "abort"
-        rows.append(row)
-
-    for h in cfg.fixed_h:
-        tol = ToleranceSpec(cfg.rtol[0] if cfg.rtol else 1e-6, cfg.atol)
-        method = make_method(cfg.method, problem, tol, cfg.norm)
-        row = _base_row(cfg, h, study)
-        samples, stats, blew = advance_fixed(problem, method, h, cfg.t_f,
-                                             times, tol=tol, eig=eig)
-        _fill_row(row, stats, None if blew else samples, ref)
-        row["blew_up"] = blew
         rows.append(row)
 
     if write:
@@ -271,9 +270,9 @@ def _study_points(name: str, base: ExperimentConfig):
                 for q in (1.0, 1.05, 1.1, 1.2)]
     if name == "normcompare":
         return [replace(base, norm=n, rtol=RTOL_WIDE)
-                for n in ("component", "cell")]
+                for n in NORM_NAMES]
     if name == "eigmode":
-        return [replace(base, eig_mode=m) for m in ("user", "power")]
+        return [replace(base, eig_mode=m) for m in EIG_MODES]
     raise ValueError(f"unknown study {name!r}; choose from {STUDY_NAMES}")
 
 

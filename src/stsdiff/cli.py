@@ -6,28 +6,33 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import yaml
 
-from .bench import STUDY_NAMES, ExperimentConfig, run_experiment, study
+from .bench import (
+    NORM_NAMES,
+    PROBLEM_NAMES,
+    STUDY_NAMES,
+    ExperimentConfig,
+    run_experiment,
+    study,
+)
+from .timeloop import EIG_MODES
 
-_FIELD_FOR_FLAG = {
-    "problem": "problem",
-    "method": "method",
-    "nu": "nu",
-    "nv": "n_v",
-    "nx": "n_x",
-    "rtol": "rtol",
-    "atol": "atol",
-    "norm": "norm",
-    "eig_mode": "eig_mode",
-    "q_lambda": "q_lambda",
-    "tau": "tau",
-    "tf": "t_f",
-    "fixed_h": "fixed_h",
-    "seed": "seed",
-    "out": "out",
-}
+# one flag per ExperimentConfig field, spelled as the field but for
+# these historical short spellings; a flag's dest is also its YAML key
+_SPELLING = {"n_v": "nv", "n_x": "nx", "t_f": "tf"}
+_CHOICES = {"problem": PROBLEM_NAMES, "norm": NORM_NAMES,
+            "eig_mode": EIG_MODES}
+_HELP = {"rtol": "comma-separated list, e.g. 1e-2,1e-4",
+         "fixed_h": "comma-separated list of step sizes"}
+
+
+def _flag_fields() -> dict:
+    """Flag dest -> (field name, field default), in field order."""
+    return {_SPELLING.get(f.name, f.name): (f.name, f.default)
+            for f in fields(ExperimentConfig)}
 
 
 def _float_list(text) -> tuple:
@@ -41,23 +46,11 @@ def _float_list(text) -> tuple:
 
 def _add_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="YAML file with flag defaults")
-    sub.add_argument("--problem", choices=("fd", "dg"))
-    sub.add_argument("--method")
-    sub.add_argument("--nu", type=float)
-    sub.add_argument("--nv", type=int)
-    sub.add_argument("--nx", type=int)
-    sub.add_argument("--rtol", help="comma-separated list, e.g. 1e-2,1e-4")
-    sub.add_argument("--atol", type=float)
-    sub.add_argument("--norm", choices=("component", "cell"))
-    sub.add_argument("--eig-mode", dest="eig_mode",
-                     choices=("user", "power"))
-    sub.add_argument("--q-lambda", dest="q_lambda", type=float)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--tf", type=float)
-    sub.add_argument("--fixed-h", dest="fixed_h",
-                     help="comma-separated list of step sizes")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out")
+    for dest, (name, default) in _flag_fields().items():
+        # tuple fields stay text here and become lists in build_config
+        kind = type(default) if isinstance(default, (int, float)) else None
+        sub.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind,
+                         choices=_CHOICES.get(name), help=_HELP.get(name))
 
 
 def _load_config_file(path: str) -> dict:
@@ -65,30 +58,27 @@ def _load_config_file(path: str) -> dict:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
         raise ValueError("config file must be a flat key-value mapping")
+    known = _flag_fields()
     out = {}
     for key, val in raw.items():
         norm_key = str(key).replace("-", "_")
-        if norm_key not in _FIELD_FOR_FLAG:
+        if norm_key not in known:
             raise ValueError(f"unknown config key {key!r}")
         out[norm_key] = val
     return out
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {}
-    if args.config:
-        values.update(_load_config_file(args.config))
-    for flag in _FIELD_FOR_FLAG:
+    flag_fields = _flag_fields()
+    values = _load_config_file(args.config) if args.config else {}
+    for flag in flag_fields:
         flag_val = getattr(args, flag, None)
         if flag_val is not None:
             values[flag] = flag_val
     kwargs = {}
     for flag, val in values.items():
-        name = _FIELD_FOR_FLAG[flag]
-        if name in ("rtol", "fixed_h"):
-            kwargs[name] = _float_list(val)
-        else:
-            kwargs[name] = val
+        name, default = flag_fields[flag]
+        kwargs[name] = _float_list(val) if isinstance(default, tuple) else val
     if kwargs.get("fixed_h") and "rtol" not in kwargs:
         # a fixed-step scan without --rtol should not inherit the
         # adaptive default and emit a surprise adaptive row

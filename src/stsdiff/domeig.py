@@ -1,6 +1,7 @@
 """The Jacobian-free difference-quotient product, matrix-free
 dominant-eigenvalue estimation by power iteration with it, and the
-eigensafety factor policy."""
+eigensafety factor policy.  This module only forms estimates; the time
+loop's tracker turns them into the lam_eff that drives a step."""
 
 from __future__ import annotations
 
@@ -38,6 +39,8 @@ class PowerIterConfig:
             raise ValueError("tau must lie in (0, 1)")
         if self.max_iters < 2:
             raise ValueError("max_iters must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -156,13 +159,3 @@ def power_iterate(rhs, t: float, f: StateVector, cfg: PowerIterConfig,
         lam_prev = lam
     return DomEigEstimate(lam, cfg.max_iters, False)
 
-
-def effective_lambda(est: DomEigEstimate, q_lambda: float) -> float:
-    """Magnitude fed to stage-count selection: q_lambda * |lambda|."""
-    if not est.converged:
-        raise ValueError("eigenvalue estimate did not converge")
-    if est.lambda_approx > 1e-10 * (1.0 + abs(est.lambda_approx)):
-        raise ValueError(
-            f"dominant eigenvalue {est.lambda_approx} has positive real "
-            f"part; the integrators assume a negative real spectrum")
-    return q_lambda * abs(est.lambda_approx)

@@ -11,5 +11,5 @@ class StageCountError(ValueError):
 
 
 class IntegrationAbort(RuntimeError):
-    """The adaptive driver cannot continue (repeated rejections or
-    solution blow-up)."""
+    """A driver cannot continue (repeated rejections, a step below
+    h_min, or no eigenvalue estimate)."""

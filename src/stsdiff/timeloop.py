@@ -11,7 +11,6 @@ marches at constant h and flags blow-up instead of failing.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ from .domeig import (
     PowerIterConfig,
     ZeroOperatorError,
     _dq,
-    effective_lambda,
     power_iterate,
     warn_if_unsafe,
 )
@@ -49,6 +47,8 @@ SAFETY = 0.9
 GROWTH = 1.5
 FIRST_STEP_GROWTH = 20.0
 SHRINK = 0.1
+# sources of lambda: the problem's analytic bound, or power iteration
+EIG_MODES = ("user", "power")
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class EigPolicy:
     power: PowerIterConfig = field(default_factory=PowerIterConfig)
 
     def __post_init__(self):
-        if self.mode not in ("power", "user"):
+        if self.mode not in EIG_MODES:
             raise ValueError(f"unknown eig mode {self.mode!r}")
         if self.refresh not in ("once", "periodic"):
             raise ValueError(f"unknown refresh policy {self.refresh!r}")
@@ -113,25 +113,6 @@ class EigPolicy:
             raise ValueError("refresh period must be at least 1")
         if self.q_lambda <= 0:
             raise ValueError("q_lambda must be positive")
-
-
-def refresh_domeig(problem, rhs, t, f, eig: EigPolicy, tol: ToleranceSpec,
-                   stats: RunStats) -> float:
-    """Current effective spectral bound q_lambda * |lambda|.
-
-    An operator that annihilates every direction has no stability limit
-    and gets 0.  A non-finite product raises NonFiniteProductError, a
-    StepFailure, so the adaptive driver rejects the attempt.
-    """
-    if eig.mode == "user":
-        return eig.q_lambda * problem.lambda_user()
-    stats.domeig_calls += 1
-    try:
-        est = power_iterate(rhs, t, f, eig.power, tol)
-    except ZeroOperatorError:
-        return 0.0
-    stats.domeig_iters += est.iters
-    return effective_lambda(est, eig.q_lambda)
 
 
 class _StsMethod:
@@ -142,20 +123,14 @@ class _StsMethod:
         self.name = name
         self.sts_family = sts_family
         self._coeffs = {}
-        # a hair inside the interval of STAGE_CAP stages, so that rounding
-        # in h * lam_eff cannot push stage_count past the cap
-        self._cap_interval = (stability_interval(sts_family, STAGE_CAP)
-                              * (1.0 - 1e-12))
+        # the largest h * lam_eff an adaptive step may take: a hair
+        # inside the interval of STAGE_CAP stages, so that rounding in
+        # h * lam_eff cannot push stage_count past the cap
+        self.interval = (stability_interval(sts_family, STAGE_CAP)
+                         * (1.0 - 1e-12))
 
     def stages_for(self, h: float, lam_eff: float) -> int:
         return stage_count(h, lam_eff, self.sts_family)
-
-    def max_step(self, lam_eff) -> float:
-        """Largest h whose stage count stays within STAGE_CAP;
-        unlimited when the operator has no stiffness."""
-        if not lam_eff:
-            return math.inf
-        return self._cap_interval / lam_eff
 
     def step(self, rhs, t, f, h, s):
         coeffs = self._coeffs.get(s)
@@ -174,16 +149,11 @@ class _SspMethod:
         self.name = name
         self.scheme = ssp_scheme(order)
         self.order = order
+        # the largest h * lam_eff an adaptive step may take
+        self.interval = self.scheme.real_axis_bound
 
     def stages_for(self, h, lam_eff):
         return self.scheme.s
-
-    def max_step(self, lam_eff) -> float:
-        """Largest h with h * lam_eff inside the real-axis stability
-        interval; unlimited when the operator has no stiffness."""
-        if not lam_eff:
-            return math.inf
-        return self.scheme.real_axis_bound / lam_eff
 
     def step(self, rhs, t, f, h, s):
         return ssp_step(rhs, t, f, h, self.scheme)
@@ -204,9 +174,6 @@ class _DirkMethod:
 
     def stages_for(self, h, lam_eff):
         return self.scheme.s
-
-    def max_step(self, lam_eff) -> float:
-        return math.inf
 
     def step(self, rhs, t, f, h, s):
         return dirk_step(rhs, t, f, h, self.scheme, self.newton,
@@ -265,7 +232,17 @@ class _SampleTracker:
 
 
 class _EigTracker:
-    """Applies the refresh policy; lam_eff is None when inactive."""
+    """The one owner of lam_eff = q_lambda * |lambda|, lambda being the
+    problem's analytic bound (user mode) or a power-iteration estimate.
+
+    current(t, f) forms lam_eff lazily, inside the driver's attempt, so
+    a failed estimate fails that attempt: a non-finite product raises
+    NonFiniteProductError (a StepFailure), and an estimate that did not
+    converge or has a positive real part raises IntegrationAbort.
+    after_accept() marks it stale every eig.period accepted steps under
+    the periodic policy.  A zero operator, and an inactive tracker (a
+    method that needs no lambda), give 0.
+    """
 
     def __init__(self, problem, rhs, eig: EigPolicy, tol, stats, active):
         self.problem = problem
@@ -274,27 +251,45 @@ class _EigTracker:
         self.tol = tol
         self.stats = stats
         self.active = active
-        self.lam_eff = None
+        self.lam_eff = None if active else 0.0
         self.since_refresh = 0
         if active and eig.mode == "power":
             warn_if_unsafe(eig.q_lambda, eig.power.tau)
 
-    def current(self, t, f) -> float | None:
-        if not self.active:
-            return None
+    def current(self, t, f) -> float:
         if self.lam_eff is None:
-            self.lam_eff = refresh_domeig(self.problem, self.rhs, t, f,
-                                          self.eig, self.tol, self.stats)
+            self.lam_eff = self._form(t, f)
         return self.lam_eff
 
-    def after_accept(self, t, f):
+    def after_accept(self):
         if not self.active or self.eig.refresh == "once":
             return
         self.since_refresh += 1
         if self.since_refresh >= self.eig.period:
-            self.lam_eff = refresh_domeig(self.problem, self.rhs, t, f,
-                                          self.eig, self.tol, self.stats)
+            self.lam_eff = None
             self.since_refresh = 0
+
+    def _form(self, t, f) -> float:
+        eig = self.eig
+        if eig.mode == "user":
+            return eig.q_lambda * self.problem.lambda_user()
+        self.stats.domeig_calls += 1
+        try:
+            est = power_iterate(self.rhs, t, f, eig.power, self.tol)
+        except ZeroOperatorError:
+            return 0.0
+        self.stats.domeig_iters += est.iters
+        lam = est.lambda_approx
+        if not est.converged:
+            raise IntegrationAbort(
+                f"eigenvalue estimate did not converge in {est.iters} "
+                f"iterations at t={t:.6e} (tau={eig.power.tau})")
+        if lam > 1e-10 * (1.0 + abs(lam)):
+            raise IntegrationAbort(
+                f"dominant eigenvalue estimate {lam} at t={t:.6e} has a "
+                f"positive real part; the integrators assume a negative "
+                f"real spectrum")
+        return eig.q_lambda * abs(lam)
 
 
 def _counted_rhs(problem, stats: RunStats):
@@ -342,7 +337,10 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
                      t_f: float = 1.0, sample_times=(),
                      step_log=None):
     """Integrate to t_f with error-controlled steps; returns
-    (samples, stats)."""
+    (samples, stats).  SSP and STS steps are capped at
+    method.interval / lam_eff.  Raises IntegrationAbort when the step
+    size falls below h_min, after MAX_CONSECUTIVE_REJECTIONS rejections
+    in a row, or when no eigenvalue estimate can be formed."""
     if t_f <= 0.0:
         raise ValueError("t_f must be positive")
     stats = RunStats()
@@ -370,11 +368,12 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
                 f"t={t:.6e} after {stats.attempted} attempts")
         stop = tracker.next_stop(t)
         h_try = min(h_ctrl, stop - t)
-        lam_eff, s = None, 0
+        lam_eff, s = 0.0, 0
         stats.attempted += 1
         try:
             lam_eff = eigs.current(t, f)
-            h_try = min(h_try, method.max_step(lam_eff))
+            if lam_eff:
+                h_try = min(h_try, method.interval / lam_eff)
             s = method.stages_for(h_try, lam_eff)
             stats.stages_total += s
             f_trial, err = method.step(rhs, t, f, h_try, s)
@@ -384,16 +383,14 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
         clamped = h_try == stop - t
         accepted = e_norm <= 1.0
         if step_log is not None:
-            step_log.append(StepRecord(t, h_try, e_norm, accepted, s,
-                                       lam_eff if lam_eff is not None
-                                       else 0.0))
+            step_log.append(StepRecord(t, h_try, e_norm, accepted, s, lam_eff))
         if accepted:
             t = stop if clamped else t + h_try
             f = f_trial
             stats.accepted += 1
             consecutive_rejects = 0
             tracker.record_if_hit(t, f)
-            eigs.after_accept(t, f)
+            eigs.after_accept()
             cap = FIRST_STEP_GROWTH if first_proposal else GROWTH
             raw = SAFETY * e_norm**expo if e_norm > 0.0 else float("inf")
             if clamped:
@@ -426,8 +423,11 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
                   step_log=None):
     """March at constant h; returns (samples, stats, blew_up). Blow-up
     (non-finite values, growth past BLOWUP_FACTOR times the initial
-    max-norm, or a step that needs more than STAGE_CAP stages) stops the
-    run early instead of raising."""
+    max-norm, a non-finite product in the eigenvalue estimate, or a step
+    that needs more than STAGE_CAP stages) stops the run early instead
+    of raising.  The one case that raises is IntegrationAbort, when an
+    STS method's eigenvalue estimate did not converge or has a positive
+    real part, so that no estimate can be formed."""
     if h <= 0.0:
         raise ValueError("h must be positive")
     stats = RunStats()
@@ -448,10 +448,10 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
         # accumulated t leaves no sliver step before a sample time
         clamped = h * (1.0 + 1e-9) >= stop - t
         h_try = stop - t if clamped else h
-        lam_eff = eigs.current(t, f)
+        lam_eff, s = 0.0, 0
         stats.attempted += 1
-        s = 0
         try:
+            lam_eff = eigs.current(t, f)
             s = method.stages_for(h_try, lam_eff)
             stats.stages_total += s
             f_trial, _ = method.step(rhs, t, f, h_try, s)
@@ -462,15 +462,14 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
         if step_log is not None:
             e_norm = float("inf") if blew_up else 0.0
             step_log.append(StepRecord(t, h_try, e_norm, not blew_up, s,
-                                       lam_eff if lam_eff is not None
-                                       else 0.0))
+                                       lam_eff))
         if blew_up:
             break
         t = stop if clamped else t + h_try
         f = f_trial
         stats.accepted += 1
         tracker.record_if_hit(t, f)
-        eigs.after_accept(t, f)
+        eigs.after_accept()
 
     stats.wall_clock = time.perf_counter() - start
     return tracker.samples, stats, blew_up

@@ -5,8 +5,8 @@ import pytest
 
 from stsdiff.bench import ExperimentConfig
 from stsdiff.cli import (
-    _FIELD_FOR_FLAG,
     _add_flags,
+    _flag_fields,
     _load_config_file,
     build_config,
     main,
@@ -17,7 +17,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 def namespace(**overrides):
     ns = argparse.Namespace(config=None,
-                            **{k: None for k in _FIELD_FOR_FLAG})
+                            **{k: None for k in _flag_fields()})
     for key, val in overrides.items():
         setattr(ns, key, val)
     return ns
@@ -97,12 +97,46 @@ def test_invalid_flag_combination_exits_nonzero(tmp_path, capsys):
 
 
 def test_every_flag_is_backed_by_a_config_field():
+    flag_fields = _flag_fields()
     names = {f.name for f in fields(ExperimentConfig)}
-    assert set(_FIELD_FOR_FLAG.values()) <= names
+    assert {name for name, _ in flag_fields.values()} == names
     parser = argparse.ArgumentParser()
     _add_flags(parser)
     dests = {a.dest for a in parser._actions} - {"help", "config"}
-    assert dests == set(_FIELD_FOR_FLAG)
+    assert dests == set(flag_fields)
+    # the historical spellings, which are also the YAML keys
+    assert dests == {"problem", "method", "nu", "nv", "nx", "rtol", "atol",
+                     "norm", "eig_mode", "q_lambda", "tau", "tf", "fixed_h",
+                     "seed", "out"}
+    flags = {s for a in parser._actions for s in a.option_strings}
+    assert {"--eig-mode", "--q-lambda", "--fixed-h", "--nv", "--tf"} <= flags
+
+
+def test_unconverged_estimate_aborts_its_point_only(tmp_path):
+    # at tau = 1e-9 the power iteration does not converge within
+    # max_iters: the power row records an abort, the user row stands
+    out = tmp_path / "tau.csv"
+    rc = main(["study", "eigmode", "--problem", "dg", "--nv", "16", "--nx",
+               "2", "--tau", "1e-9", "--rtol", "1e-3", "--q-lambda", "1.2",
+               "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text(encoding="utf-8").strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert [(r["eig_mode"], r["status"]) for r in rows] == [
+        ("user", "ok"), ("power", "abort")]
+
+
+def test_negative_seed_is_rejected_before_any_integration(tmp_path, capsys,
+                                                          monkeypatch):
+    def boom(*a, **kw):
+        raise AssertionError("integrated with a bad seed")
+
+    monkeypatch.setattr("stsdiff.bench.advance_adaptive", boom)
+    rc = main(["study", "eigmode", "--problem", "fd", "--nv", "32", "--nx",
+               "1", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_removed_cache_dir_flag_is_rejected(tmp_path):

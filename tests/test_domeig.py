@@ -6,7 +6,6 @@ from stsdiff.domeig import (
     PowerIterConfig,
     PowerIterationError,
     constant_mode,
-    effective_lambda,
     matvec_dq,
     min_safe_q,
     power_iterate,
@@ -14,7 +13,9 @@ from stsdiff.domeig import (
 )
 from stsdiff.problems.dg import DgProblem
 from stsdiff.problems.fd import FdProblem
+from stsdiff.errors import IntegrationAbort
 from stsdiff.state import GridLayout, StateVector, ToleranceSpec
+from stsdiff.timeloop import EigPolicy, RunStats, _EigTracker
 
 TOL = ToleranceSpec(1e-6, 1e-6)
 
@@ -40,6 +41,10 @@ class TestConfigs:
     def test_min_iters(self):
         with pytest.raises(ValueError):
             PowerIterConfig(max_iters=1)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            PowerIterConfig(seed=-1)
 
     def test_min_safe_q(self):
         assert min_safe_q(0.1) == pytest.approx(1.0 / 0.9, rel=1e-15)
@@ -217,22 +222,33 @@ class TestPowerIterate:
             power_iterate(rhs, 0.0, f, PowerIterConfig(seed=0), TOL)
 
 
+def tracked_lambda(monkeypatch, est, q_lambda):
+    """lam_eff the time loop's tracker forms from the estimate est."""
+    monkeypatch.setattr("stsdiff.timeloop.power_iterate",
+                        lambda *a, **kw: est)
+    prob = FdProblem(GridLayout("fd", 8, 1), nu=1.0)
+    tracker = _EigTracker(prob, prob.rhs, EigPolicy(q_lambda=q_lambda), TOL,
+                          RunStats(), active=True)
+    return tracker.current(0.0, prob.initial_condition())
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 class TestEffectiveLambda:
-    def test_magnitude_with_safety(self):
+    def test_magnitude_with_safety(self, monkeypatch):
         est = DomEigEstimate(-100.0, 3, True)
-        assert effective_lambda(est, 1.1) == pytest.approx(110.0)
+        assert tracked_lambda(monkeypatch, est, 1.1) == pytest.approx(110.0)
 
-    def test_requires_convergence(self):
-        with pytest.raises(ValueError):
-            effective_lambda(DomEigEstimate(-5.0, 100, False), 1.1)
+    def test_requires_convergence(self, monkeypatch):
+        with pytest.raises(IntegrationAbort, match="converge"):
+            tracked_lambda(monkeypatch, DomEigEstimate(-5.0, 100, False), 1.1)
 
-    def test_positive_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            effective_lambda(DomEigEstimate(2.5, 3, True), 1.1)
+    def test_positive_eigenvalue_rejected(self, monkeypatch):
+        with pytest.raises(IntegrationAbort, match="positive"):
+            tracked_lambda(monkeypatch, DomEigEstimate(2.5, 3, True), 1.1)
 
-    def test_roundoff_positive_tolerated(self):
+    def test_roundoff_positive_tolerated(self, monkeypatch):
         est = DomEigEstimate(1e-14, 3, True)
-        assert effective_lambda(est, 1.1) == pytest.approx(
+        assert tracked_lambda(monkeypatch, est, 1.1) == pytest.approx(
             1.1e-14, abs=1e-20)
 
 

@@ -16,7 +16,7 @@ from stsdiff.integrators.sts import STAGE_CAP, stage_count
 from stsdiff.problems import DgProblem, FdProblem
 from stsdiff.domeig import matvec_dq
 from stsdiff.state import wrms
-from stsdiff.timeloop import RunStats, _start_step, refresh_domeig
+from stsdiff.timeloop import _start_step
 
 LAY = GridLayout("fd", 64, 1)
 PROB = FdProblem(LAY, nu=1.0)
@@ -265,11 +265,11 @@ def test_fixed_step_past_stage_cap_flags_blow_up_instead_of_raising():
 
 @pytest.mark.parametrize("name", ["rkl", "rkc"])
 def test_sts_max_step_holds_stage_count_at_cap(name):
+    # the adaptive driver caps an STS step at interval / lam_eff
     method = make_method(name, PROB, TOL)
     for lam in (1.0, 3.0e7, 1.234567e11):
-        assert stage_count(method.max_step(lam), lam,
+        assert stage_count(method.interval / lam, lam,
                            method.sts_family) == STAGE_CAP
-    assert method.max_step(0.0) == np.inf
 
 
 def test_adaptive_sts_steps_stay_within_stage_cap():
@@ -319,20 +319,48 @@ def test_start_step_costs_p_plus_one_rhs_calls(kind, norm, order):
 
 
 def test_user_mode_returns_scaled_formula_without_estimator_calls():
-    stats = RunStats()
-    lam = refresh_domeig(PROB, PROB.rhs, 0.0, PROB.initial_condition(),
-                         EigPolicy(mode="user", q_lambda=1.2), TOL, stats)
-    assert lam == pytest.approx(1.2 * PROB.lambda_user(), rel=1e-15)
+    log = []
+    _, stats = advance_adaptive(
+        PROB, make_method("rkl", PROB, TOL), TOL, "component",
+        EigPolicy(mode="user", q_lambda=1.2), ControllerConfig(), 1.0, [],
+        step_log=log)
+    assert {r.lam_eff for r in log} == {1.2 * PROB.lambda_user()}
     assert stats.domeig_calls == 0
 
 
 def test_power_mode_counts_estimator_work():
-    stats = RunStats()
-    lam = refresh_domeig(PROB, PROB.rhs, 0.0, PROB.initial_condition(),
-                         EigPolicy(q_lambda=1.2), TOL, stats)
+    log = []
+    _, stats = advance_adaptive(
+        PROB, make_method("rkl", PROB, TOL), TOL, "component",
+        EigPolicy(q_lambda=1.2, refresh="once"), ControllerConfig(), 1.0,
+        [], step_log=log)
     assert stats.domeig_calls == 1
     assert stats.domeig_iters >= 2
-    assert lam > 0
+    assert len({r.lam_eff for r in log}) == 1 and log[0].lam_eff > 0
+
+
+def test_estimate_is_formed_per_period_and_not_after_the_last_step():
+    # period 1 marks the estimate stale after every accepted step; the
+    # next attempt forms it, and no attempt follows the last step
+    _, stats = advance_adaptive(
+        PROB, make_method("rkl", PROB, TOL), TOL, "component",
+        EigPolicy(q_lambda=1.2, period=1), ControllerConfig(), 1.0, TWENTY)
+    assert stats.domeig_calls == stats.accepted
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", ["rkl", "rkc"])
+def test_fixed_step_nonfinite_estimate_flags_blow_up(name):
+    # the power iteration's first product is NaN: that fails the first
+    # attempt like any other non-finite step
+    log = []
+    _, stats, blew = advance_fixed(
+        NanProblem(), make_method(name, NanProblem(), TOL), 0.05, 1.0,
+        TWENTY, tol=TOL, eig=EigPolicy(mode="power"), step_log=log)
+    assert blew is True
+    assert stats.attempted == 1 and stats.accepted == 0
+    assert len(log) == 1
+    assert not log[0].accepted and log[0].e_norm == np.inf
 
 
 def test_tight_margin_emits_warning_and_comfortable_margin_does_not():
