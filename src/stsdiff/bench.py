@@ -57,11 +57,11 @@ class ExperimentConfig:
     n_v: int = 64
     n_x: int = 4
     rtol: tuple = (1e-4,)
-    atol: float = 1e-11
+    atol: float = ToleranceSpec.atol
     norm: str = "component"
-    eig_mode: str = "power"
-    q_lambda: float = 1.1
-    tau: float = 0.1
+    eig_mode: str = EigPolicy.mode
+    q_lambda: float = EigPolicy.q_lambda
+    tau: float = PowerIterConfig.tau
     t_f: float = 1.0
     fixed_h: tuple = ()
     seed: int = 0
@@ -85,8 +85,8 @@ class ExperimentConfig:
         if not all(h > 0 for h in self.fixed_h):
             raise ValueError("fixed_h entries must be positive")
         object.__setattr__(self, "eig", EigPolicy(
-            mode=self.eig_mode, q_lambda=self.q_lambda, refresh="periodic",
-            period=25, power=PowerIterConfig(tau=self.tau, seed=self.seed)))
+            mode=self.eig_mode, q_lambda=self.q_lambda,
+            power=PowerIterConfig(tau=self.tau, seed=self.seed)))
         fixed_tol = ToleranceSpec(self.rtol[0] if self.rtol else 1e-6,
                                   self.atol)
         object.__setattr__(self, "points", tuple(
@@ -113,13 +113,6 @@ def sample_times(t_f: float) -> np.ndarray:
 class ReferenceSolution:
     times: np.ndarray
     snapshots: np.ndarray
-    fingerprint: str
-
-    def __post_init__(self):
-        if len(self.times) != N_SAMPLES:
-            raise ValueError(f"expected {N_SAMPLES} sample times")
-        if self.snapshots.shape[0] != N_SAMPLES:
-            raise ValueError(f"expected {N_SAMPLES} snapshots")
 
 
 def _expm_reference(problem, times) -> np.ndarray:
@@ -142,8 +135,7 @@ def _line_reference(problem, times) -> np.ndarray:
 
 def _reference(cfg: ExperimentConfig, problem) -> ReferenceSolution:
     times = sample_times(cfg.t_f)
-    return ReferenceSolution(times, _line_reference(problem, times),
-                             cfg.fingerprint())
+    return ReferenceSolution(times, _line_reference(problem, times))
 
 
 def compute_reference(cfg: ExperimentConfig, cache_dir=None
@@ -217,8 +209,10 @@ def run_experiment(cfg: ExperimentConfig, study: str = "",
                 samples, stats, row["blew_up"] = advance_fixed(
                     problem, method, h, cfg.t_f, times, tol=tol, eig=cfg.eig)
             _fill_row(row, stats, None if row["blew_up"] else samples, ref)
-        except IntegrationAbort:
+        except IntegrationAbort as abort:
             row["status"] = "abort"
+            if abort.stats is not None:
+                _fill_row(row, abort.stats, None, ref)
         rows.append(row)
 
     if write:

@@ -14,20 +14,6 @@ from .errors import StepFailure
 from .state import GridLayout, StateVector, ToleranceSpec, wrms
 
 
-class PowerIterationError(RuntimeError):
-    pass
-
-
-class ZeroOperatorError(PowerIterationError):
-    """The operator annihilated the start vector, so there is no
-    stiffness to estimate."""
-
-
-class NonFiniteProductError(PowerIterationError, StepFailure):
-    """A Jacobian product came back non-finite; a time-stepping driver
-    treats this like a failed step attempt."""
-
-
 @dataclass(frozen=True)
 class PowerIterConfig:
     tau: float = 0.1
@@ -103,15 +89,6 @@ def _dq(rhs, t: float, x: StateVector, base: np.ndarray, v: np.ndarray,
     return (rhs(t, pert).values - base) / sigma
 
 
-def matvec_dq(rhs, t: float, f: StateVector, v: StateVector,
-              tol: ToleranceSpec, norm_kind: str = "component") -> StateVector:
-    """Difference-quotient Jacobian product at f, weights from f: _dq
-    plus the base evaluation rhs(t, f)."""
-    base = rhs(t, f).values
-    return StateVector(_dq(rhs, t, f, base, v.values, f, tol, norm_kind),
-                       f.layout)
-
-
 def _start_vector(layout: GridLayout, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1.0, 1.0, layout.n_dof)
@@ -123,18 +100,17 @@ def _start_vector(layout: GridLayout, seed: int) -> np.ndarray:
 
 
 def power_iterate(rhs, t: float, f: StateVector, cfg: PowerIterConfig,
-                  tol: ToleranceSpec, v0: np.ndarray | None = None,
-                  on_iterate=None) -> DomEigEstimate:
+                  tol: ToleranceSpec, v0: np.ndarray | None = None
+                  ) -> DomEigEstimate:
     """Power iteration with Euclidean renormalization and a Rayleigh
     quotient that reuses the update product (one rhs call per iteration
     after the base evaluation).
 
     Stops when the relative Rayleigh change drops below cfg.tau, which
     bounds the error only for a spectrum with a clear gap (see
-    min_safe_q).  v0 overrides the seeded start vector; on_iterate(k,
-    lam, v) is invoked after each product for diagnostics.  Raises
-    ZeroOperatorError when the operator annihilates the start vector,
-    NonFiniteProductError on a non-finite product.
+    min_safe_q).  v0 overrides the seeded start vector.  An operator
+    that annihilates the start vector gives the exact estimate 0; a
+    non-finite product raises StepFailure.
     """
     v = _start_vector(f.layout, cfg.seed) if v0 is None else np.array(
         v0, dtype=float)
@@ -144,14 +120,11 @@ def power_iterate(rhs, t: float, f: StateVector, cfg: PowerIterConfig,
     for k in range(1, cfg.max_iters + 1):
         w = _dq(rhs, t, f, base, v, f, tol, "component")
         if not np.all(np.isfinite(w)):
-            raise NonFiniteProductError(
-                "non-finite values in power iteration product")
+            raise StepFailure("non-finite values in power iteration product")
         wnorm = np.linalg.norm(w)
         if wnorm == 0.0:
-            raise ZeroOperatorError("operator annihilated the start vector")
+            return DomEigEstimate(0.0, k, True)
         lam = float(np.dot(v, w) / np.dot(v, v))
-        if on_iterate is not None:
-            on_iterate(k, lam, w / wnorm)
         if lam_prev is not None and lam != 0.0 \
                 and abs(lam - lam_prev) / abs(lam) < cfg.tau:
             return DomEigEstimate(lam, k, True)

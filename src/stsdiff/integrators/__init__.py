@@ -10,7 +10,6 @@ from .sts import (
 from .ssp import SSP_SCHEMES, ShuOsherScheme, ssp_scheme, ssp_step
 from .dirk import (
     DIRK_SCHEMES,
-    CgError,
     DirkScheme,
     NewtonConfig,
     cg_solve,

@@ -94,14 +94,12 @@ class NewtonConfig:
             raise ValueError("solver tolerances must be positive")
 
 
-class CgError(RuntimeError):
-    pass
-
-
 def cg_solve(apply_A, rhs_vec: np.ndarray, precond_diag: np.ndarray,
              tol: float, max_iters: int) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients on an SPD operator,
-    run to relative residual tol."""
+    run to relative residual tol.  Raises StepFailure when the operator
+    is not positive definite along a search direction or tol is not
+    reached within max_iters."""
     bnorm = np.linalg.norm(rhs_vec)
     if bnorm == 0.0:
         return np.zeros_like(rhs_vec)
@@ -114,8 +112,8 @@ def cg_solve(apply_A, rhs_vec: np.ndarray, precond_diag: np.ndarray,
         ap = apply_A(p)
         pap = float(np.dot(p, ap))
         if pap <= 0.0:
-            raise CgError("operator is not positive definite along the "
-                          "search direction")
+            raise StepFailure("CG operator is not positive definite "
+                              "along the search direction")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
@@ -125,7 +123,7 @@ def cg_solve(apply_A, rhs_vec: np.ndarray, precond_diag: np.ndarray,
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise CgError(f"no convergence within {max_iters} CG iterations")
+    raise StepFailure(f"no convergence within {max_iters} CG iterations")
 
 
 def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
@@ -170,12 +168,7 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
                 return v - h * aii * _dq(rhs, t_i, z, g_z, v, f_n, tol,
                                          norm_kind)
 
-            try:
-                delta = cg_solve(apply_op, -resid, pd, cg_tol,
-                                 newton.max_cg)
-            except CgError as e:
-                raise StepFailure(f"stage linear solve failed: {e}")
-            z = z + delta
+            z = z + cg_solve(apply_op, -resid, pd, cg_tol, newton.max_cg)
             g_z = rhs(t_i, StateVector(z, lay)).values
         if not converged:
             raise StepFailure(

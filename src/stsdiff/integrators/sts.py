@@ -32,7 +32,6 @@ class StsCoefficients:
     are zero-filled.  alpha_tilde[1] is the first-stage h-multiplier and
     c[j] the internal abscissa fraction of stage j (c[s] = 1)."""
 
-    family: str
     s: int
     alpha: np.ndarray
     beta: np.ndarray
@@ -75,8 +74,7 @@ def rkl2_coefficients(s: int) -> StsCoefficients:
         alpha_tilde[k] = alpha[k] * w1
         gamma_tilde[k] = -a[k - 1] * alpha_tilde[k]
     c = _abscissae(s, alpha, beta, alpha_tilde, gamma_tilde)
-    return StsCoefficients("rkl2", s, alpha, beta, alpha_tilde,
-                           gamma_tilde, c)
+    return StsCoefficients(s, alpha, beta, alpha_tilde, gamma_tilde, c)
 
 
 def _chebyshev_table(s: int, x: float):
@@ -117,8 +115,7 @@ def rkc2_coefficients(s: int) -> StsCoefficients:
         alpha_tilde[k] = 2.0 * w1 * b[k] / b[k - 1]
         gamma_tilde[k] = -a[k - 1] * alpha_tilde[k]
     c = _abscissae(s, alpha, beta, alpha_tilde, gamma_tilde)
-    return StsCoefficients("rkc2", s, alpha, beta, alpha_tilde,
-                           gamma_tilde, c)
+    return StsCoefficients(s, alpha, beta, alpha_tilde, gamma_tilde, c)
 
 
 def stability_interval(family: str, s: int) -> float:

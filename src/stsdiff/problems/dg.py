@@ -62,10 +62,9 @@ class DgProblem(LineOperator):
         self.cell_average_d = self.cell_d_integral / dv
         # face i sits at edges[i+1], between cells i and i+1 (periodic)
         self.face_d = self._d(self.edges[1:])
-        self._diag, self._left, self._right = self._assemble_blocks()
         # right-multiplying forms for rows of dofs (see rhs)
         self._stencil = tuple(np.ascontiguousarray(blk.transpose(0, 2, 1))
-                              for blk in (self._diag, self._left, self._right))
+                              for blk in self._assemble_blocks())
 
     def _d(self, v):
         return diffusion_coefficient(v, self.nu, self.modulation)

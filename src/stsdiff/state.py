@@ -69,9 +69,6 @@ class StateVector:
                 f"state length {self.values.shape} does not match layout "
                 f"dof count {self.layout.n_dof}")
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.values.copy(), self.layout)
-
     def cells(self) -> np.ndarray:
         """View of the values as (n_cells, n_b)."""
         return self.values.reshape(self.layout.n_cells, self.layout.n_b)

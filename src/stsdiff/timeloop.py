@@ -12,17 +12,12 @@ marches at constant h and flags blow-up instead of failing.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domeig import (
-    PowerIterConfig,
-    ZeroOperatorError,
-    _dq,
-    power_iterate,
-    warn_if_unsafe,
-)
+from .domeig import PowerIterConfig, _dq, power_iterate, warn_if_unsafe
 from .errors import IntegrationAbort, StageCountError, StepFailure
 from .integrators.dirk import NewtonConfig, dirk_step, dirk_tableau
 from .integrators.ssp import ssp_scheme, ssp_step
@@ -215,12 +210,7 @@ class _SampleTracker:
         self.idx = 0
         self.samples = []
 
-    def record_initial(self, f: StateVector):
-        while self.idx < len(self.times) and self.times[self.idx] <= 0.0:
-            self.samples.append(f)
-            self.idx += 1
-
-    def next_stop(self, t: float) -> float:
+    def next_stop(self) -> float:
         if self.idx < len(self.times):
             return min(self.times[self.idx], self.t_f)
         return self.t_f
@@ -237,11 +227,11 @@ class _EigTracker:
 
     current(t, f) forms lam_eff lazily, inside the driver's attempt, so
     a failed estimate fails that attempt: a non-finite product raises
-    NonFiniteProductError (a StepFailure), and an estimate that did not
-    converge or has a positive real part raises IntegrationAbort.
-    after_accept() marks it stale every eig.period accepted steps under
-    the periodic policy.  A zero operator, and an inactive tracker (a
-    method that needs no lambda), give 0.
+    StepFailure, and an estimate that did not converge or has a positive
+    real part raises IntegrationAbort.  after_accept() marks it stale
+    every eig.period accepted steps under the periodic policy.  A zero
+    operator, and an inactive tracker (a method that needs no lambda),
+    give 0.
     """
 
     def __init__(self, problem, rhs, eig: EigPolicy, tol, stats, active):
@@ -274,10 +264,7 @@ class _EigTracker:
         if eig.mode == "user":
             return eig.q_lambda * self.problem.lambda_user()
         self.stats.domeig_calls += 1
-        try:
-            est = power_iterate(self.rhs, t, f, eig.power, self.tol)
-        except ZeroOperatorError:
-            return 0.0
+        est = power_iterate(self.rhs, t, f, eig.power, self.tol)
         self.stats.domeig_iters += est.iters
         lam = est.lambda_approx
         if not est.converged:
@@ -290,6 +277,20 @@ class _EigTracker:
                 f"positive real part; the integrators assume a negative "
                 f"real spectrum")
         return eig.q_lambda * abs(lam)
+
+
+@contextmanager
+def _run_clock(stats: RunStats):
+    """Times a driver's run into stats.wall_clock and hands stats to an
+    IntegrationAbort that ends it, so an aborted run keeps its work."""
+    start = time.perf_counter()
+    try:
+        yield
+    except IntegrationAbort as abort:
+        abort.stats = stats
+        raise
+    finally:
+        stats.wall_clock = time.perf_counter() - start
 
 
 def _counted_rhs(problem, stats: RunStats):
@@ -344,76 +345,77 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
     if t_f <= 0.0:
         raise ValueError("t_f must be positive")
     stats = RunStats()
-    start = time.perf_counter()
-    rhs = _counted_rhs(problem, stats)
-    f = problem.initial_condition()
-    tracker = _SampleTracker(sample_times, t_f)
-    tracker.record_initial(f)
-    eigs = _EigTracker(problem, rhs, eig, tol, stats,
-                       active=method.family in ("sts", "ssp"))
-    p = method.order
-    expo = -1.0 / (p + 1.0)
-    h_ctrl = controller.h0
-    if h_ctrl is None:
-        h_ctrl = _start_step(rhs, 0.0, f, p, norm_kind, tol, t_f)
-    h_min = controller.h_min if controller.h_min is not None else 1e-12 * t_f
-    t = 0.0
-    consecutive_rejects = 0
-    first_proposal = True
+    with _run_clock(stats):
+        rhs = _counted_rhs(problem, stats)
+        f = problem.initial_condition()
+        tracker = _SampleTracker(sample_times, t_f)
+        tracker.record_if_hit(0.0, f)
+        eigs = _EigTracker(problem, rhs, eig, tol, stats,
+                           active=method.family in ("sts", "ssp"))
+        p = method.order
+        expo = -1.0 / (p + 1.0)
+        h_ctrl = controller.h0
+        if h_ctrl is None:
+            h_ctrl = _start_step(rhs, 0.0, f, p, norm_kind, tol, t_f)
+        h_min = (controller.h_min if controller.h_min is not None
+                 else 1e-12 * t_f)
+        t = 0.0
+        consecutive_rejects = 0
+        first_proposal = True
 
-    while t < t_f * (1.0 - 1e-14) or tracker.idx < len(tracker.times):
-        if h_ctrl < h_min:
-            raise IntegrationAbort(
-                f"step size {h_ctrl:.3e} fell below h_min {h_min:.3e} at "
-                f"t={t:.6e} after {stats.attempted} attempts")
-        stop = tracker.next_stop(t)
-        h_try = min(h_ctrl, stop - t)
-        lam_eff, s = 0.0, 0
-        stats.attempted += 1
-        try:
-            lam_eff = eigs.current(t, f)
-            if lam_eff:
-                h_try = min(h_try, method.interval / lam_eff)
-            s = method.stages_for(h_try, lam_eff)
-            stats.stages_total += s
-            f_trial, err = method.step(rhs, t, f, h_try, s)
-            e_norm = float(wrms(norm_kind, err, f, tol))
-        except StepFailure:
-            f_trial, e_norm = None, float("inf")
-        clamped = h_try == stop - t
-        accepted = e_norm <= 1.0
-        if step_log is not None:
-            step_log.append(StepRecord(t, h_try, e_norm, accepted, s, lam_eff))
-        if accepted:
-            t = stop if clamped else t + h_try
-            f = f_trial
-            stats.accepted += 1
-            consecutive_rejects = 0
-            tracker.record_if_hit(t, f)
-            eigs.after_accept()
-            cap = FIRST_STEP_GROWTH if first_proposal else GROWTH
-            raw = SAFETY * e_norm**expo if e_norm > 0.0 else float("inf")
-            if clamped:
-                # the shortened landing step says nothing about growing
-                # the working step; only shrink if its error demands it
-                h_ctrl = min(h_ctrl, h_try * max(raw, SHRINK))
-            else:
-                h_ctrl = h_try * min(max(raw, SHRINK), cap)
-        else:
-            stats.rejected += 1
-            consecutive_rejects += 1
-            if consecutive_rejects >= MAX_CONSECUTIVE_REJECTIONS:
+        while t < t_f * (1.0 - 1e-14) or tracker.idx < len(tracker.times):
+            if h_ctrl < h_min:
                 raise IntegrationAbort(
-                    f"{consecutive_rejects} consecutive rejections at "
-                    f"t={t:.6e} (h={h_try:.3e}, E={e_norm:.3e})")
-            if np.isfinite(e_norm):
-                factor = max(SHRINK, SAFETY * e_norm**expo)
+                    f"step size {h_ctrl:.3e} fell below h_min {h_min:.3e} at "
+                    f"t={t:.6e} after {stats.attempted} attempts")
+            stop = tracker.next_stop()
+            h_try = min(h_ctrl, stop - t)
+            lam_eff, s = 0.0, 0
+            stats.attempted += 1
+            try:
+                lam_eff = eigs.current(t, f)
+                if lam_eff:
+                    h_try = min(h_try, method.interval / lam_eff)
+                s = method.stages_for(h_try, lam_eff)
+                stats.stages_total += s
+                f_trial, err = method.step(rhs, t, f, h_try, s)
+                e_norm = float(wrms(norm_kind, err, f, tol))
+            except StepFailure:
+                f_trial, e_norm = None, float("inf")
+            clamped = h_try == stop - t
+            accepted = e_norm <= 1.0
+            if step_log is not None:
+                step_log.append(StepRecord(t, h_try, e_norm, accepted, s,
+                                           lam_eff))
+            if accepted:
+                t = stop if clamped else t + h_try
+                f = f_trial
+                stats.accepted += 1
+                consecutive_rejects = 0
+                tracker.record_if_hit(t, f)
+                eigs.after_accept()
+                cap = FIRST_STEP_GROWTH if first_proposal else GROWTH
+                raw = SAFETY * e_norm**expo if e_norm > 0.0 else float("inf")
+                if clamped:
+                    # the shortened landing step says nothing about growing
+                    # the working step; only shrink if its error demands it
+                    h_ctrl = min(h_ctrl, h_try * max(raw, SHRINK))
+                else:
+                    h_ctrl = h_try * min(max(raw, SHRINK), cap)
             else:
-                factor = SHRINK
-            h_ctrl = h_try * factor
-        first_proposal = False
+                stats.rejected += 1
+                consecutive_rejects += 1
+                if consecutive_rejects >= MAX_CONSECUTIVE_REJECTIONS:
+                    raise IntegrationAbort(
+                        f"{consecutive_rejects} consecutive rejections at "
+                        f"t={t:.6e} (h={h_try:.3e}, E={e_norm:.3e})")
+                if np.isfinite(e_norm):
+                    factor = max(SHRINK, SAFETY * e_norm**expo)
+                else:
+                    factor = SHRINK
+                h_ctrl = h_try * factor
+            first_proposal = False
 
-    stats.wall_clock = time.perf_counter() - start
     return tracker.samples, stats
 
 
@@ -431,45 +433,44 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
     if h <= 0.0:
         raise ValueError("h must be positive")
     stats = RunStats()
-    start = time.perf_counter()
-    rhs = _counted_rhs(problem, stats)
-    f = problem.initial_condition()
-    limit = BLOWUP_FACTOR * float(np.max(np.abs(f.values)))
-    tracker = _SampleTracker(sample_times, t_f)
-    tracker.record_initial(f)
-    eigs = _EigTracker(problem, rhs, eig, tol, stats,
-                       active=method.family == "sts")
-    t = 0.0
-    blew_up = False
+    with _run_clock(stats):
+        rhs = _counted_rhs(problem, stats)
+        f = problem.initial_condition()
+        limit = BLOWUP_FACTOR * float(np.max(np.abs(f.values)))
+        tracker = _SampleTracker(sample_times, t_f)
+        tracker.record_if_hit(0.0, f)
+        eigs = _EigTracker(problem, rhs, eig, tol, stats,
+                           active=method.family == "sts")
+        t = 0.0
+        blew_up = False
 
-    while t < t_f * (1.0 - 1e-14) or tracker.idx < len(tracker.times):
-        stop = tracker.next_stop(t)
-        # a step that ends within round-off of the stop lands on it, so
-        # accumulated t leaves no sliver step before a sample time
-        clamped = h * (1.0 + 1e-9) >= stop - t
-        h_try = stop - t if clamped else h
-        lam_eff, s = 0.0, 0
-        stats.attempted += 1
-        try:
-            lam_eff = eigs.current(t, f)
-            s = method.stages_for(h_try, lam_eff)
-            stats.stages_total += s
-            f_trial, _ = method.step(rhs, t, f, h_try, s)
-            blew_up = bool(not np.all(np.isfinite(f_trial.values))
-                           or np.max(np.abs(f_trial.values)) > limit)
-        except (StepFailure, StageCountError):
-            blew_up = True
-        if step_log is not None:
-            e_norm = float("inf") if blew_up else 0.0
-            step_log.append(StepRecord(t, h_try, e_norm, not blew_up, s,
-                                       lam_eff))
-        if blew_up:
-            break
-        t = stop if clamped else t + h_try
-        f = f_trial
-        stats.accepted += 1
-        tracker.record_if_hit(t, f)
-        eigs.after_accept()
+        while t < t_f * (1.0 - 1e-14) or tracker.idx < len(tracker.times):
+            stop = tracker.next_stop()
+            # a step that ends within round-off of the stop lands on it, so
+            # accumulated t leaves no sliver step before a sample time
+            clamped = h * (1.0 + 1e-9) >= stop - t
+            h_try = stop - t if clamped else h
+            lam_eff, s = 0.0, 0
+            stats.attempted += 1
+            try:
+                lam_eff = eigs.current(t, f)
+                s = method.stages_for(h_try, lam_eff)
+                stats.stages_total += s
+                f_trial, _ = method.step(rhs, t, f, h_try, s)
+                blew_up = bool(not np.all(np.isfinite(f_trial.values))
+                               or np.max(np.abs(f_trial.values)) > limit)
+            except (StepFailure, StageCountError):
+                blew_up = True
+            if step_log is not None:
+                e_norm = float("inf") if blew_up else 0.0
+                step_log.append(StepRecord(t, h_try, e_norm, not blew_up, s,
+                                           lam_eff))
+            if blew_up:
+                break
+            t = stop if clamped else t + h_try
+            f = f_trial
+            stats.accepted += 1
+            tracker.record_if_hit(t, f)
+            eigs.after_accept()
 
-    stats.wall_clock = time.perf_counter() - start
     return tracker.samples, stats, blew_up

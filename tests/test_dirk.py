@@ -5,7 +5,6 @@ from stsdiff import GridLayout, StateVector, ToleranceSpec
 from stsdiff.errors import StepFailure
 from stsdiff.integrators import dirk
 from stsdiff.integrators.dirk import (
-    CgError,
     NewtonConfig,
     cg_solve,
     dirk_step,
@@ -175,7 +174,7 @@ def test_cg_zero_rhs_returns_zero_without_iterating():
 
 def test_cg_rejects_indefinite_operator():
     b = np.ones(5)
-    with pytest.raises(CgError):
+    with pytest.raises(StepFailure):
         cg_solve(lambda v: -v, b, np.ones(5), 1e-10, 50)
 
 
@@ -184,7 +183,7 @@ def test_cg_raises_when_iteration_budget_exhausted():
     prob = FdProblem(lay, nu=1.0)
     J = prob.assemble_matrix()
     b = prob.initial_condition().values
-    with pytest.raises(CgError):
+    with pytest.raises(StepFailure):
         cg_solve(lambda v: v - 0.1 * (J @ v), b, np.ones(lay.n_dof),
                  1e-14, 2)
 

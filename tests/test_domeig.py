@@ -4,16 +4,15 @@ import pytest
 from stsdiff.domeig import (
     DomEigEstimate,
     PowerIterConfig,
-    PowerIterationError,
+    _dq,
     constant_mode,
-    matvec_dq,
     min_safe_q,
     power_iterate,
     warn_if_unsafe,
 )
 from stsdiff.problems.dg import DgProblem
 from stsdiff.problems.fd import FdProblem
-from stsdiff.errors import IntegrationAbort
+from stsdiff.errors import IntegrationAbort, StepFailure
 from stsdiff.state import GridLayout, StateVector, ToleranceSpec
 from stsdiff.timeloop import EigPolicy, RunStats, _EigTracker
 
@@ -29,6 +28,12 @@ def matrix_rhs(a):
 def fixture_state(n, fill=1.0):
     lay = GridLayout("fd", n, 1)
     return StateVector(np.full(n, fill), lay)
+
+
+def dq_at(rhs, f, v, tol):
+    """J(f) v by the difference quotient, base rhs(0, f), weights from f."""
+    return _dq(rhs, 0.0, f, rhs(0.0, f).values, v.values, f, tol,
+               "component")
 
 
 class TestConfigs:
@@ -68,9 +73,9 @@ class TestMatvecDq:
         f = StateVector(rng.uniform(0.5, 1.5, p.layout.n_dof), p.layout)
         for _ in range(5):
             v = StateVector(rng.standard_normal(p.layout.n_dof), p.layout)
-            got = matvec_dq(p.rhs, 0.0, f, v, TOL)
+            got = dq_at(p.rhs, f, v, TOL)
             want = a @ v.values
-            rel = np.linalg.norm(got.values - want) / np.linalg.norm(want)
+            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel < 1e-6
 
     def test_matches_assembled_dg(self):
@@ -79,17 +84,17 @@ class TestMatvecDq:
         rng = np.random.default_rng(1)
         f = StateVector(rng.uniform(0.5, 1.5, p.layout.n_dof), p.layout)
         v = StateVector(rng.standard_normal(p.layout.n_dof), p.layout)
-        got = matvec_dq(p.rhs, 0.0, f, v, TOL)
+        got = dq_at(p.rhs, f, v, TOL)
         want = a @ v.values
-        assert np.linalg.norm(got.values - want) / np.linalg.norm(want) < 1e-6
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
 
     def test_identity_rhs_returns_direction(self):
         def rhs(t, u):
             return StateVector(u.values.copy(), u.layout)
         f = fixture_state(4, 2.0)
         v = StateVector(np.array([1.0, -2.0, 0.5, 3.0]), f.layout)
-        got = matvec_dq(rhs, 0.0, f, v, TOL)
-        np.testing.assert_allclose(got.values, v.values, rtol=1e-9)
+        got = dq_at(rhs, f, v, TOL)
+        np.testing.assert_allclose(got, v.values, rtol=1e-9)
 
     def test_perturbation_magnitude_is_reciprocal_norm(self):
         seen = {}
@@ -103,7 +108,7 @@ class TestMatvecDq:
         # weights are rtol*0 + atol = 1, so the norm of (2, 2) is 2 and
         # sigma must be 0.5
         v = StateVector(np.array([2.0, 2.0]), lay)
-        matvec_dq(rhs, 0.0, f, v, ToleranceSpec(1.0, 1.0))
+        dq_at(rhs, f, v, ToleranceSpec(1.0, 1.0))
         np.testing.assert_allclose(seen["arg"], [1.0, 1.0], rtol=1e-15)
 
     def test_zero_direction_rejected(self):
@@ -111,7 +116,7 @@ class TestMatvecDq:
         f = p.initial_condition()
         v = StateVector(np.zeros(8), p.layout)
         with pytest.raises(ValueError):
-            matvec_dq(p.rhs, 0.0, f, v, TOL)
+            dq_at(p.rhs, f, v, TOL)
 
 
 class TestPowerIterate:
@@ -167,16 +172,24 @@ class TestPowerIterate:
         f3 = fixture_state(3)
         for r in (0.5, 0.7):
             a3 = np.diag([-1.0, -r, -r / 2])
-            hist = []
+            args = []
 
-            def on_it(k, lam, v):
-                e1 = np.array([1.0, 0.0, 0.0])
+            def rhs(t, u):
+                args.append(u.values.copy())
+                return StateVector(a3 @ u.values, u.layout)
+
+            power_iterate(rhs, 0.0, f3,
+                          PowerIterConfig(tau=1e-14, max_iters=22, seed=2),
+                          TOL)
+            # after the base call at f3, product k is evaluated at
+            # f3 + sigma_k v_k: its offset recovers the iterate's direction
+            e1 = np.array([1.0, 0.0, 0.0])
+            hist = []
+            for u in args[1:]:
+                d = u - f3.values
+                v = d / np.linalg.norm(d)
                 hist.append(min(np.linalg.norm(v - e1),
                                 np.linalg.norm(v + e1)))
-
-            power_iterate(matrix_rhs(a3), 0.0, f3,
-                          PowerIterConfig(tau=1e-14, max_iters=22, seed=2),
-                          TOL, on_iterate=on_it)
             ratios = [hist[i + 1] / hist[i]
                       for i in range(1, len(hist) - 1) if hist[i] > 1e-9]
             assert len(ratios) >= 10
@@ -206,11 +219,12 @@ class TestPowerIterate:
     def test_nullspace_start_reseeds(self):
         # the zero operator maps the deflated seed start to zero, and so
         # would any other start, so the first product ends the iteration
+        # with the exact estimate 0
         def rhs(t, u):
             return StateVector(np.zeros_like(u.values), u.layout)
         f = fixture_state(4)
-        with pytest.raises(PowerIterationError):
-            power_iterate(rhs, 0.0, f, PowerIterConfig(seed=0), TOL)
+        est = power_iterate(rhs, 0.0, f, PowerIterConfig(seed=0), TOL)
+        assert est == DomEigEstimate(0.0, 1, True)
 
     def test_nonfinite_fails(self):
         def rhs(t, u):
@@ -218,7 +232,7 @@ class TestPowerIterate:
             out[0] = np.nan
             return StateVector(out, u.layout)
         f = fixture_state(4)
-        with pytest.raises(PowerIterationError):
+        with pytest.raises(StepFailure):
             power_iterate(rhs, 0.0, f, PowerIterConfig(seed=0), TOL)
 
 

@@ -14,9 +14,9 @@ from stsdiff import (
 from stsdiff.errors import IntegrationAbort
 from stsdiff.integrators.sts import STAGE_CAP, stage_count
 from stsdiff.problems import DgProblem, FdProblem
-from stsdiff.domeig import matvec_dq
+from stsdiff.domeig import _dq
 from stsdiff.state import wrms
-from stsdiff.timeloop import _start_step
+from stsdiff.timeloop import MAX_CONSECUTIVE_REJECTIONS, _start_step
 
 LAY = GridLayout("fd", 64, 1)
 PROB = FdProblem(LAY, nu=1.0)
@@ -207,10 +207,35 @@ def test_persistent_nonfinite_states_abort_with_diagnostics():
 
 
 def test_rejection_streak_aborts_when_h_min_disabled():
-    with pytest.raises(IntegrationAbort, match="consecutive"):
+    log = []
+    with pytest.raises(IntegrationAbort, match="consecutive") as exc:
         advance_adaptive(NanProblem(), make_method("ssp2", NanProblem(), TOL),
                          TOL, "component", EIG, ControllerConfig(h_min=0.0),
-                         1.0, [])
+                         1.0, [], step_log=log)
+    # the abort carries the run's counters up to it
+    stats = exc.value.stats
+    assert stats.attempted == stats.rejected == len(log) \
+        == MAX_CONSECUTIVE_REJECTIONS
+    assert stats.rhs_evals > 0
+    assert stats.wall_clock > 0.0
+
+
+def test_exception_types_are_defined_only_in_errors():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import stsdiff
+    found = []
+    for info in pkgutil.walk_packages(stsdiff.__path__, "stsdiff."):
+        mod = importlib.import_module(info.name)
+        found += [f"{mod.__name__}.{name}"
+                  for name, cls in inspect.getmembers(mod, inspect.isclass)
+                  if issubclass(cls, BaseException)
+                  and cls.__module__ == mod.__name__]
+    assert sorted(found) == ["stsdiff.errors.IntegrationAbort",
+                             "stsdiff.errors.StageCountError",
+                             "stsdiff.errors.StepFailure"]
 
 
 @pytest.mark.parametrize("name", ["rkl", "rkc"])
@@ -314,7 +339,8 @@ def test_start_step_costs_p_plus_one_rhs_calls(kind, norm, order):
     # the same h as products that each evaluate their own base
     d = prob.rhs(0.0, f)
     for _ in range(order):
-        d = matvec_dq(prob.rhs, 0.0, f, d, TOL, norm)
+        d = StateVector(_dq(prob.rhs, 0.0, f, prob.rhs(0.0, f).values,
+                            d.values, f, TOL, norm), f.layout)
     assert h == min(1.0, wrms(norm, d, f, TOL) ** (-1.0 / (order + 1.0)))
 
 
