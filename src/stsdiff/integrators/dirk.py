@@ -133,8 +133,9 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
     """One DIRK step; returns (f_next, error_estimate).
 
     Each implicit stage solves F(z) = z - h A_ii G(t_i, z) - a_i = 0 by
-    inexact Newton from the predictor z = f_n; the linearized systems
-    (I - h A_ii J) delta = -F use matrix-free CG with the Jacobi
+    inexact Newton from the predictor z = a_i + h A_ii g_{i-1}, which
+    takes the previous stage's derivative for G(t_i, z).  The linearized
+    systems (I - h A_ii J) delta = -F use matrix-free CG with the Jacobi
     preconditioner diag(1 - h A_ii jac_diag).  J v is the
     difference-quotient product around z, weighted by f_n."""
     lay = f_n.layout
@@ -149,9 +150,11 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
         aii = scheme.a[i, i]
         if aii == 0.0:
             gs[i] = rhs(t_i, StateVector(a_i, lay)).values
+            if not np.all(np.isfinite(gs[i])):
+                raise StepFailure("non-finite explicit-stage derivative")
             continue
         pd = 1.0 - h * aii * precond_diag.values
-        z = f_n.values.copy()
+        z = a_i + h * aii * gs[i - 1]
         g_z = rhs(t_i, StateVector(z, lay)).values
         converged = False
         for _ in range(newton.max_newton):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stsdiff import GridLayout, StateVector, ToleranceSpec
+from stsdiff import GridLayout, StateVector, ToleranceSpec, wrms
 from stsdiff.errors import StepFailure
 from stsdiff.integrators import dirk
 from stsdiff.integrators.dirk import (
@@ -215,16 +215,56 @@ def test_one_huge_implicit_step_contracts(order):
     assert abs(f1.values[0]) <= 1e-3
 
 
-def test_newton_takes_one_iteration_per_implicit_stage_when_linear(
-        monkeypatch):
+def fd_step(order, h, newton):
+    """One DIRK step from the FD 32x2, nu=1 initial state; returns
+    (f0, f1)."""
     lay = GridLayout("fd", 32, 2)
     prob = FdProblem(lay, nu=1.0)
+    f0 = prob.initial_condition()
+    f1, _ = dirk_step(prob.rhs, 0.0, f0, h, dirk_tableau(order), newton,
+                      prob.jacobian_diagonal(), ToleranceSpec(1e-6))
+    return f0, f1
+
+
+def test_newton_takes_one_iteration_per_implicit_stage_when_linear(
+        monkeypatch):
     solves = counting_cg(monkeypatch)
-    dirk_step(prob.rhs, 0.0, prob.initial_condition(), 1e-3, dirk_tableau(3),
-              NewtonConfig(tol=1e-6, cg_tol_factor=1e-4, max_cg=2000),
-              prob.jacobian_diagonal(), ToleranceSpec(1e-6))
+    fd_step(3, 1e-3, NewtonConfig(tol=1e-6, cg_tol_factor=1e-4, max_cg=2000))
     # one linear solve per Newton iteration
     assert len(solves) == 4
+
+
+@pytest.mark.parametrize("order,implicit_stages", [(2, 2), (3, 4)])
+def test_stage_predictor_needs_one_solve_per_implicit_stage(
+        order, implicit_stages, monkeypatch):
+    assert np.count_nonzero(np.diag(dirk_tableau(order).a)) == implicit_stages
+    solves = counting_cg(monkeypatch)
+    fd_step(order, 1e-3, NewtonConfig())
+    assert len(solves) == implicit_stages
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
+@pytest.mark.parametrize("order", [2, 3])
+def test_predicted_step_matches_a_tightly_solved_step(order, h):
+    f0, f1 = fd_step(order, h, NewtonConfig())
+    _, ref = fd_step(order, h, NewtonConfig(tol=1e-10, cg_tol_factor=1e-3,
+                                            max_newton=30, max_cg=2000))
+    # the tight step is the dense stage solve of the linear operator
+    J = FdProblem(f0.layout, nu=1.0).assemble_matrix()
+    sch = dirk_tableau(order)
+    gs = np.zeros((sch.s, f0.layout.n_dof))
+    for i in range(sch.s):
+        a_i = f0.values + h * (sch.a[i, :i] @ gs[:i])
+        gs[i] = J @ np.linalg.solve(np.eye(len(a_i)) - h * sch.a[i, i] * J,
+                                    a_i)
+    dense = f0.values + h * (sch.b @ gs)
+
+    def dist(u, v):
+        return wrms("component", StateVector(u - v, f0.layout), f0,
+                    ToleranceSpec(1e-6))
+
+    assert dist(ref.values, dense) <= 1e-8
+    assert dist(f1.values, ref.values) <= NewtonConfig().tol
 
 
 def test_quiescent_state_is_preserved_exactly():
@@ -332,6 +372,7 @@ def test_cg_breakdown_surfaces_as_step_failure():
                   ToleranceSpec(1e-6, atol=0.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_rhs_raises_step_failure():
     lay = GridLayout("fd", 4, 1)
 
