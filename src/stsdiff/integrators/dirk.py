@@ -1,5 +1,5 @@
 """Diagonally implicit Runge-Kutta baselines (orders 2 and 3) with
-inexact-Newton stage solves and a matrix-free Jacobi-preconditioned
+inexact-Newton stage solves and a matrix-free, unpreconditioned
 conjugate-gradient linear solver.
 
 These are wired to the finite-difference problem only: its Jacobian is
@@ -94,49 +94,47 @@ class NewtonConfig:
             raise ValueError("solver tolerances must be positive")
 
 
-def cg_solve(apply_A, rhs_vec: np.ndarray, precond_diag: np.ndarray,
-             tol: float, max_iters: int) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients on an SPD operator,
-    run to relative residual tol.  Raises StepFailure when the operator
-    is not positive definite along a search direction or tol is not
-    reached within max_iters."""
+def cg_solve(apply_A, rhs_vec: np.ndarray, tol: float,
+             max_iters: int) -> np.ndarray:
+    """Conjugate gradients on an SPD operator, run to relative residual
+    tol.  Raises StepFailure at the first curvature p.Ap that is
+    non-finite or not positive, or when tol is not reached within
+    max_iters."""
     bnorm = np.linalg.norm(rhs_vec)
     if bnorm == 0.0:
         return np.zeros_like(rhs_vec)
     x = np.zeros_like(rhs_vec)
     r = rhs_vec.copy()
-    z = r / precond_diag
-    p = z.copy()
-    rz = float(np.dot(r, z))
+    p = r.copy()
+    rr = float(np.dot(r, r))
     for _ in range(max_iters):
         ap = apply_A(p)
         pap = float(np.dot(p, ap))
+        if not np.isfinite(pap):
+            raise StepFailure("non-finite CG curvature")
         if pap <= 0.0:
             raise StepFailure("CG operator is not positive definite "
                               "along the search direction")
-        alpha = rz / pap
+        alpha = rr / pap
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol * bnorm:
+        rr_new = float(np.dot(r, r))
+        if np.sqrt(rr_new) <= tol * bnorm:
             return x
-        z = r / precond_diag
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     raise StepFailure(f"no convergence within {max_iters} CG iterations")
 
 
 def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
-              scheme: DirkScheme, newton: NewtonConfig,
-              precond_diag: StateVector, tol: ToleranceSpec,
+              scheme: DirkScheme, newton: NewtonConfig, tol: ToleranceSpec,
               norm_kind: str = "component"):
     """One DIRK step; returns (f_next, error_estimate).
 
     Each implicit stage solves F(z) = z - h A_ii G(t_i, z) - a_i = 0 by
     inexact Newton from the predictor z = a_i + h A_ii g_{i-1}, which
     takes the previous stage's derivative for G(t_i, z).  The linearized
-    systems (I - h A_ii J) delta = -F use matrix-free CG with the Jacobi
-    preconditioner diag(1 - h A_ii jac_diag).  J v is the
+    systems (I - h A_ii J) delta = -F use matrix-free CG.  J v is the
     difference-quotient product around z, weighted by f_n."""
     lay = f_n.layout
     s = scheme.s
@@ -153,7 +151,6 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
             if not np.all(np.isfinite(gs[i])):
                 raise StepFailure("non-finite explicit-stage derivative")
             continue
-        pd = 1.0 - h * aii * precond_diag.values
         z = a_i + h * aii * gs[i - 1]
         g_z = rhs(t_i, StateVector(z, lay)).values
         converged = False
@@ -171,7 +168,7 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
                 return v - h * aii * _dq(rhs, t_i, z, g_z, v, f_n, tol,
                                          norm_kind)
 
-            z = z + cg_solve(apply_op, -resid, pd, cg_tol, newton.max_cg)
+            z = z + cg_solve(apply_op, -resid, cg_tol, newton.max_cg)
             g_z = rhs(t_i, StateVector(z, lay)).values
         if not converged:
             raise StepFailure(

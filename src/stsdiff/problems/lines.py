@@ -4,8 +4,7 @@ Both discretizations act only along v, so the operator repeats one
 line block on every (x-cell, x-mode) line.  A subclass states the
 operator once, as its matrix-free rhs(t, u), and sets `layout` and
 `modes`, the number of dofs per cell along each direction (1 for FD,
-2 for DG).  The line
-views, the line block, the Jacobian diagonal and the dense N x N oracle
+2 for DG).  The line views, the line block and the dense N x N oracle
 all follow from rhs here.
 """
 
@@ -58,13 +57,6 @@ class LineOperator:
             out = self.rhs(0.0, StateVector(e, self.layout)).values
             a[:, c:c + k] = out[at[:k]].T
         return a
-
-    def jacobian_diagonal(self) -> StateVector:
-        """Diagonal of the rhs Jacobian, for Jacobi preconditioning."""
-        d = np.diagonal(self.line_matrix())
-        n_lines = self.modes * self.layout.n_x
-        return StateVector(self.from_lines(np.tile(d, (n_lines, 1))),
-                           self.layout)
 
     def assemble_matrix(self) -> np.ndarray:
         """Dense N x N oracle built column by column from rhs.  Intended

@@ -157,12 +157,11 @@ class _SspMethod:
 class _DirkMethod:
     family = "dirk"
 
-    def __init__(self, name: str, order: int, precond_diag: StateVector,
-                 newton: NewtonConfig, tol: ToleranceSpec, norm_kind: str):
+    def __init__(self, name: str, order: int, newton: NewtonConfig,
+                 tol: ToleranceSpec, norm_kind: str):
         self.name = name
         self.scheme = dirk_tableau(order)
         self.order = order
-        self.precond_diag = precond_diag
         self.newton = newton
         self.tol = tol
         self.norm_kind = norm_kind
@@ -171,8 +170,8 @@ class _DirkMethod:
         return self.scheme.s
 
     def step(self, rhs, t, f, h, s):
-        return dirk_step(rhs, t, f, h, self.scheme, self.newton,
-                         self.precond_diag, self.tol, self.norm_kind)
+        return dirk_step(rhs, t, f, h, self.scheme, self.newton, self.tol,
+                         self.norm_kind)
 
 
 METHOD_NAMES = ("rkl", "rkc", "ssp2", "ssp3", "ssp4", "dirk2", "dirk3")
@@ -191,8 +190,8 @@ def make_method(name: str, problem, tol: ToleranceSpec,
         if problem.layout.kind != "fd":
             raise ValueError("DIRK baselines are wired to the "
                              "finite-difference problem only")
-        return _DirkMethod(name, int(name[-1]), problem.jacobian_diagonal(),
-                           newton or NewtonConfig(), tol, norm_kind)
+        return _DirkMethod(name, int(name[-1]), newton or NewtonConfig(),
+                           tol, norm_kind)
     raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
 
 

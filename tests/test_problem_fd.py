@@ -156,24 +156,6 @@ class TestInitialCondition:
             p.initial_condition().values, initial_condition_fd(p.layout).values)
 
 
-class TestJacobianDiagonal:
-    def test_uniform_value(self):
-        p = uniform_problem(8, 2)
-        d = p.jacobian_diagonal()
-        np.testing.assert_allclose(
-            d.values, -2.0 / p.layout.dv**2, rtol=1e-14)
-
-    def test_strictly_negative(self):
-        p = bench_problem(64, 2, nu=0.1)
-        assert np.max(p.jacobian_diagonal().values) < 0.0
-
-    def test_matches_assembled_diagonal(self):
-        p = bench_problem(8, 2)
-        np.testing.assert_allclose(
-            p.jacobian_diagonal().values, np.diag(loop_dense_matrix(p)),
-            rtol=1e-13)
-
-
 class TestLineMatrix:
     @pytest.mark.parametrize("n_v", [3, 4, 8, 64, 128])
     @pytest.mark.parametrize("modulation", [0.0, 0.99])
