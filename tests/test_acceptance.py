@@ -309,17 +309,21 @@ def test_05_power_iteration_quality():
 # 6. eigenvalue mode efficiency
 
 
-def _floor_runtime_rows(cfg, reps=5):
-    # scheduler noise only ever adds wall time, so the min over repeats
-    # is the stable estimate of the true cost
-    rows = None
-    walls = []
+def _median_runtime_rows(cfgs, reps=11):
+    """Each config's row, with runtime_s the median over repeats.  The
+    configs run back to back in alternating order, so that all see the
+    same machine load.  The median, not the min: on a shared machine
+    load can make a run faster as well as slower than its quiet-machine
+    time, and the min picks the luckiest such run of either config."""
+    order = list(cfgs)
+    rows, walls = {}, {key: [] for key in order}
     for _ in range(reps):
-        rows = run_experiment(cfg, write=False)
-        walls.append(rows[0]["runtime_s"])
-    row = dict(rows[0])
-    row["runtime_s"] = min(walls)
-    return row
+        for key in order:
+            (rows[key],) = run_experiment(cfgs[key], write=False)
+            walls[key].append(rows[key]["runtime_s"])
+        order.reverse()
+    return {key: dict(rows[key], runtime_s=float(np.median(walls[key])))
+            for key in cfgs}
 
 
 def test_06_eigenvalue_mode_efficiency():
@@ -334,12 +338,12 @@ def test_06_eigenvalue_mode_efficiency():
     ratio = prob.lambda_user() / abs(est.lambda_approx)
     results = {}
     for method in ("rkl", "rkc"):
-        for mode in ("power", "user"):
-            cfg = ExperimentConfig(
+        results.update(_median_runtime_rows({
+            (method, mode): ExperimentConfig(
                 problem="dg", method=method, nu=1.0, n_v=120, n_x=20,
                 rtol=(1e-4,), norm="cell", eig_mode=mode, q_lambda=1.2,
                 out="unused.csv")
-            results[method, mode] = _floor_runtime_rows(cfg)
+            for mode in ("power", "user")}))
     elapsed = time.perf_counter() - start
     txt = []
     ok = 1.10 <= ratio <= 1.25

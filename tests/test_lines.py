@@ -12,6 +12,18 @@ def make(kind, n_v, n_x):
 
 
 @pytest.mark.parametrize("kind", ["fd", "dg"])
+@pytest.mark.parametrize("n_v", [1, 2, 3, 8])
+def test_jacobian_diagonal_is_the_assembled_diagonal(kind, n_v):
+    # the line block's diagonal, repeated on every line, is the diagonal
+    # of the assembled Jacobian.  FD at n_v = 1 is the zero operator: its
+    # single face couples the point to itself
+    p = make(kind, n_v, 3)
+    d = np.diagonal(p.line_matrix())
+    np.testing.assert_array_equal(p.to_lines(np.diag(p.assemble_matrix())),
+                                  np.broadcast_to(d, (p.modes * 3, d.size)))
+
+
+@pytest.mark.parametrize("kind", ["fd", "dg"])
 @pytest.mark.parametrize("n_v,n_x", [(1, 1), (2, 5), (5, 2), (7, 3)])
 def test_line_block_repeats_on_every_line(kind, n_v, n_x):
     # covers a last probe call with fewer columns than lines, and more

@@ -251,6 +251,26 @@ class TestAssembleMatrix:
             bench_problem(120, 20).assemble_matrix()
 
 
+def test_jacobian_diagonal_matches_assembled():
+    p = bench_problem(6, 2)
+    want = np.diag(outer_line_matrix(p))
+    got = p.to_lines(np.diag(p.assemble_matrix()))
+    np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
+                               rtol=1e-12)
+
+
+@STENCIL_GRIDS
+@STENCIL_FORMS
+def test_jacobian_diagonal_matches_line_matrix(n_v, modulation, penalty_c):
+    p = DgProblem(GridLayout("dg", n_v, 3), 1.0, penalty_c,
+                  modulation=modulation)
+    oracle = outer_line_matrix(p)
+    want = np.diag(oracle)
+    got = p.to_lines(np.diag(p.assemble_matrix()))
+    np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
+                               rtol=0.0, atol=1e-13 * np.max(np.abs(oracle)))
+
+
 def test_rejects_fd_layout():
     with pytest.raises(ValueError):
         DgProblem(GridLayout("fd", 8, 1), 1.0)

@@ -156,6 +156,27 @@ class TestInitialCondition:
             p.initial_condition().values, initial_condition_fd(p.layout).values)
 
 
+class TestJacobianDiagonal:
+    """The Jacobian's diagonal, read off the line block and the dense
+    oracle."""
+
+    def test_uniform_value(self):
+        p = uniform_problem(8, 2)
+        np.testing.assert_allclose(
+            np.diag(p.assemble_matrix()), -2.0 / p.layout.dv**2, rtol=1e-14)
+
+    def test_strictly_negative(self):
+        p = bench_problem(64, 2, nu=0.1)
+        assert np.max(np.diagonal(p.line_matrix())) < 0.0
+
+    def test_matches_assembled_diagonal(self):
+        p = bench_problem(8, 2)
+        d = np.diagonal(p.line_matrix())
+        got = p.to_lines(np.diag(loop_dense_matrix(p)))
+        np.testing.assert_allclose(
+            got, np.broadcast_to(d, got.shape), rtol=1e-13)
+
+
 class TestLineMatrix:
     @pytest.mark.parametrize("n_v", [3, 4, 8, 64, 128])
     @pytest.mark.parametrize("modulation", [0.0, 0.99])
