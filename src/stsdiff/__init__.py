@@ -9,8 +9,6 @@ from .state import (
     StateVector,
     ToleranceSpec,
     wrms,
-    wrms_cellwise,
-    wrms_component,
 )
 from .timeloop import (
     ControllerConfig,
@@ -32,6 +30,4 @@ __all__ = [
     "advance_fixed",
     "make_method",
     "wrms",
-    "wrms_cellwise",
-    "wrms_component",
 ]

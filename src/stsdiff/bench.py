@@ -76,14 +76,14 @@ class ExperimentConfig:
             raise ValueError("dirk methods require problem = fd")
         if self.n_v <= 0 or self.n_x <= 0:
             raise ValueError("grid extents must be positive")
-        if self.nu <= 0 or self.t_f <= 0:
-            raise ValueError("nu and t_f must be positive")
+        if not (0.0 < self.nu < math.inf and 0.0 < self.t_f < math.inf):
+            raise ValueError("nu and t_f must be positive and finite")
         if self.norm not in NORM_NAMES:
             raise ValueError(f"unknown norm {self.norm!r}")
         if not self.rtol and not self.fixed_h:
             raise ValueError("need at least one rtol or fixed_h point")
-        if not all(h > 0 for h in self.fixed_h):
-            raise ValueError("fixed_h entries must be positive")
+        if not all(0.0 < h < math.inf for h in self.fixed_h):
+            raise ValueError("fixed_h entries must be positive and finite")
         object.__setattr__(self, "eig", EigPolicy(
             mode=self.eig_mode, q_lambda=self.q_lambda,
             power=PowerIterConfig(tau=self.tau, seed=self.seed)))

@@ -9,6 +9,7 @@ is symmetric positive definite and CG is applicable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,11 @@ class NewtonConfig:
     cg_tol_factor: float = 0.1
 
     def __post_init__(self):
-        if self.tol <= 0 or self.cg_tol_factor <= 0:
-            raise ValueError("solver tolerances must be positive")
+        if not (0.0 < self.tol < math.inf
+                and 0.0 < self.cg_tol_factor < math.inf):
+            raise ValueError("solver tolerances must be positive and finite")
+        if self.max_newton < 0:
+            raise ValueError("max_newton must be non-negative")
 
 
 def cg_solve(apply_A, rhs_vec: np.ndarray, tol: float,
@@ -153,15 +157,19 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
             continue
         z = a_i + h * aii * gs[i - 1]
         g_z = rhs(t_i, StateVector(z, lay)).values
-        converged = False
-        for _ in range(newton.max_newton):
+        # the residual is checked before the first solve and after every
+        # solve, so max_newton bounds the number of solves
+        for n_solves in range(newton.max_newton + 1):
             resid = z - h * aii * g_z - a_i
             rnorm = wrms(norm_kind, StateVector(resid, lay), f_n, tol)
             if not np.isfinite(rnorm):
                 raise StepFailure("non-finite Newton residual")
             if rnorm <= newton.tol:
-                converged = True
                 break
+            if n_solves == newton.max_newton:
+                raise StepFailure(
+                    f"Newton did not reach tolerance {newton.tol} within "
+                    f"{newton.max_newton} iterations")
 
             def apply_op(v, z=StateVector(z, lay), g_z=g_z, aii=aii,
                          t_i=t_i):
@@ -170,10 +178,6 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
 
             z = z + cg_solve(apply_op, -resid, cg_tol, newton.max_cg)
             g_z = rhs(t_i, StateVector(z, lay)).values
-        if not converged:
-            raise StepFailure(
-                f"Newton did not reach tolerance {newton.tol} within "
-                f"{newton.max_newton} iterations")
         gs[i] = g_z
 
     f_next = f_n.values + h * (scheme.b @ gs)

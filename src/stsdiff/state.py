@@ -1,4 +1,4 @@
-"""State vectors, grid layouts, tolerances, and the two weighted-RMS norms.
+"""State vectors, grid layouts, tolerances, and the weighted-RMS norm.
 
 Everything downstream (step acceptance, difference-quotient scaling, cell
 partitioning for DG) is defined in terms of the types in this module.
@@ -6,6 +6,7 @@ partitioning for DG) is defined in terms of the types in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +81,10 @@ class ToleranceSpec:
     atol: float = 1e-11
 
     def __post_init__(self):
-        if not self.rtol > 0:
-            raise ValueError("rtol must be positive")
-        if self.atol < 0:
-            raise ValueError("atol must be non-negative")
-
-
-def _check_layouts(err: StateVector, ref: StateVector):
-    if err.layout != ref.layout:
-        raise ValueError("err and ref must share a layout")
+        if not 0.0 < self.rtol < math.inf:
+            raise ValueError("rtol must be positive and finite")
+        if not 0.0 <= self.atol < math.inf:
+            raise ValueError("atol must be non-negative and finite")
 
 
 def _cell_rms(cells: np.ndarray) -> np.ndarray:
@@ -101,45 +97,24 @@ def _cell_rms(cells: np.ndarray) -> np.ndarray:
     return np.sqrt((cells * cells) @ np.full(n_b, 1.0 / n_b))
 
 
-def _wrms_cells(err_cells: np.ndarray, ref_cells: np.ndarray,
-                rtol: float, atol: float) -> float:
-    """Cell-grouped weighted RMS on (n_cells, n_b) arrays."""
-    ec = _cell_rms(err_cells)
-    rc = _cell_rms(ref_cells)
-    ratios = ec / (rtol * rc + atol)
+def wrms(kind: str, err: StateVector, ref: StateVector, tol: ToleranceSpec) -> float:
+    """Weighted RMS norm sqrt(mean(r^2)), r = E / (rtol R + atol).
+
+    kind "component" weighs every dof by itself: E = err, R = |ref|.
+    kind "cell" groups dofs per cell first: E and R are the per-cell
+    RMS of err and of ref, so small slope dofs are measured against the
+    cell's overall scale rather than their own magnitude.  The weights
+    come from ref, the step's starting state, never the trial solution.
+    """
+    if kind not in ("component", "cell"):
+        raise ValueError(f"unknown norm kind {kind!r}")
+    if err.layout != ref.layout:
+        raise ValueError("err and ref must share a layout")
+    if kind == "component":
+        e, r = err.values, np.abs(ref.values)
+    else:
+        e, r = _cell_rms(err.cells()), _cell_rms(ref.cells())
+    ratios = e / (tol.rtol * r + tol.atol)
     # np.sum uses pairwise accumulation; tolerance-sensitive reductions
     # must not drift with N
     return float(np.sqrt(np.sum(ratios * ratios) / ratios.size))
-
-
-def wrms_component(err: StateVector, ref: StateVector, tol: ToleranceSpec) -> float:
-    """Component-wise weighted RMS norm.
-
-    sqrt( (1/N) sum_i (err_i / (rtol |ref_i| + atol))^2 ).  Weights are
-    built from the step's starting state, never the trial solution.
-    """
-    _check_layouts(err, ref)
-    w = tol.rtol * np.abs(ref.values) + tol.atol
-    r = err.values / w
-    return float(np.sqrt(np.sum(r * r) / r.size))
-
-
-def wrms_cellwise(err: StateVector, ref: StateVector, tol: ToleranceSpec) -> float:
-    """Cell-wise weighted RMS norm.
-
-    Groups dofs per cell before weighting: each cell contributes
-    ||err_cell||_C / (rtol ||ref_cell||_C + atol) with ||.||_C the RMS
-    over the cell's dofs, so small slope dofs are measured against the
-    cell's overall scale rather than their own magnitude.
-    """
-    _check_layouts(err, ref)
-    return _wrms_cells(err.cells(), ref.cells(), tol.rtol, tol.atol)
-
-
-def wrms(kind: str, err: StateVector, ref: StateVector, tol: ToleranceSpec) -> float:
-    """Dispatch on norm kind: "component" or "cell"."""
-    if kind == "component":
-        return wrms_component(err, ref, tol)
-    if kind == "cell":
-        return wrms_cellwise(err, ref, tol)
-    raise ValueError(f"unknown norm kind {kind!r}")

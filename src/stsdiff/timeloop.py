@@ -4,13 +4,16 @@ The adaptive driver accepts a step when the WRMS-measured error estimate
 is at most one, controls the step size with an integral controller using
 the order-aware exponent 1/(p+1), starts from a derivative-based step
 unless one is given, caps explicit SSP steps at their real-axis
-stability limit and STS steps at the stage cap, clamps steps to land
-exactly on sample times, and tracks work counters. The fixed driver
-marches at constant h and flags blow-up instead of failing.
+stability limit and STS steps at the stage cap, and tracks work
+counters. The fixed driver marches at constant h and flags blow-up
+instead of failing. Both end a step by one rule: a step of size h from
+t lands exactly on the next stop (sample time, else t_f) when
+h (1 + 1e-9) >= stop - t, so round-off in t leaves no sliver step.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -106,8 +109,8 @@ class EigPolicy:
             raise ValueError(f"unknown refresh policy {self.refresh!r}")
         if self.period < 1:
             raise ValueError("refresh period must be at least 1")
-        if self.q_lambda <= 0:
-            raise ValueError("q_lambda must be positive")
+        if not 0.0 < self.q_lambda < math.inf:
+            raise ValueError("q_lambda must be positive and finite")
 
 
 class _StsMethod:
@@ -196,13 +199,17 @@ def make_method(name: str, problem, tol: ToleranceSpec,
 
 
 class _SampleTracker:
-    """Walks sorted sample times, clamping steps to land on each exactly."""
+    """Walks sorted sample times and decides where each step ends, by the
+    one landing rule: a step of size h from t lands on the next stop (the
+    next sample time, else t_f) when h (1 + 1e-9) >= stop - t, and then
+    ends at stop itself, so round-off in t leaves no sliver step."""
 
     def __init__(self, sample_times, t_f: float):
         times = list(sample_times)
         if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
             raise ValueError("sample times must be sorted")
-        if times and (times[0] < 0.0 or times[-1] > t_f):
+        # written so that a NaN time fails it too
+        if not all(0.0 <= x <= t_f for x in times):
             raise ValueError("sample times must lie within [0, t_f]")
         self.times = times
         self.t_f = t_f
@@ -211,8 +218,23 @@ class _SampleTracker:
 
     def next_stop(self) -> float:
         if self.idx < len(self.times):
-            return min(self.times[self.idx], self.t_f)
+            return self.times[self.idx]
         return self.t_f
+
+    def step(self, t: float, h: float):
+        """(h_try, lands) for a step of size h from t."""
+        gap = self.next_stop() - t
+        if h * (1.0 + 1e-9) >= gap:
+            return gap, True
+        return h, False
+
+    def accept(self, t: float, h_try: float, lands: bool,
+               f: StateVector) -> float:
+        """The time after an accepted step from t, recording f at every
+        sample time it reaches."""
+        t = self.next_stop() if lands else t + h_try
+        self.record_if_hit(t, f)
+        return t
 
     def record_if_hit(self, t: float, f: StateVector):
         while self.idx < len(self.times) and self.times[self.idx] <= t:
@@ -341,8 +363,8 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
     method.interval / lam_eff.  Raises IntegrationAbort when the step
     size falls below h_min, after MAX_CONSECUTIVE_REJECTIONS rejections
     in a row, or when no eigenvalue estimate can be formed."""
-    if t_f <= 0.0:
-        raise ValueError("t_f must be positive")
+    if not 0.0 < t_f < math.inf:
+        raise ValueError("t_f must be positive and finite")
     stats = RunStats()
     with _run_clock(stats):
         rhs = _counted_rhs(problem, stats)
@@ -362,44 +384,43 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
         consecutive_rejects = 0
         first_proposal = True
 
-        while t < t_f * (1.0 - 1e-14) or tracker.idx < len(tracker.times):
+        while t < t_f:
             if h_ctrl < h_min:
                 raise IntegrationAbort(
                     f"step size {h_ctrl:.3e} fell below h_min {h_min:.3e} at "
                     f"t={t:.6e} after {stats.attempted} attempts")
-            stop = tracker.next_stop()
-            h_try = min(h_ctrl, stop - t)
+            h_try, lands = tracker.step(t, h_ctrl)
             lam_eff, s = 0.0, 0
             stats.attempted += 1
             try:
                 lam_eff = eigs.current(t, f)
-                if lam_eff:
-                    h_try = min(h_try, method.interval / lam_eff)
+                # capped after landing: a capped step does not land
+                if lam_eff and method.interval / lam_eff < h_try:
+                    h_try, lands = method.interval / lam_eff, False
                 s = method.stages_for(h_try, lam_eff)
                 stats.stages_total += s
                 f_trial, err = method.step(rhs, t, f, h_try, s)
                 e_norm = float(wrms(norm_kind, err, f, tol))
             except StepFailure:
                 f_trial, e_norm = None, float("inf")
-            clamped = h_try == stop - t
             accepted = e_norm <= 1.0
             if step_log is not None:
                 step_log.append(StepRecord(t, h_try, e_norm, accepted, s,
                                            lam_eff))
             if accepted:
-                t = stop if clamped else t + h_try
+                t = tracker.accept(t, h_try, lands, f_trial)
                 f = f_trial
                 stats.accepted += 1
                 consecutive_rejects = 0
-                tracker.record_if_hit(t, f)
                 eigs.after_accept()
                 cap = FIRST_STEP_GROWTH if first_proposal else GROWTH
                 raw = SAFETY * e_norm**expo if e_norm > 0.0 else float("inf")
-                if clamped:
+                if lands and h_try <= h_ctrl:
                     # the shortened landing step says nothing about growing
                     # the working step; only shrink if its error demands it
                     h_ctrl = min(h_ctrl, h_try * max(raw, SHRINK))
                 else:
+                    # a full step, or one stretched over round-off onto a stop
                     h_ctrl = h_try * min(max(raw, SHRINK), cap)
             else:
                 stats.rejected += 1
@@ -420,17 +441,20 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
 
 def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
                   tol: ToleranceSpec = ToleranceSpec(1e-6),
-                  eig: EigPolicy = EigPolicy(refresh="once"),
+                  eig: EigPolicy = EigPolicy(),
                   step_log=None):
     """March at constant h; returns (samples, stats, blew_up). Blow-up
     (non-finite values, growth past BLOWUP_FACTOR times the initial
     max-norm, a non-finite product in the eigenvalue estimate, or a step
     that needs more than STAGE_CAP stages) stops the run early instead
-    of raising.  The one case that raises is IntegrationAbort, when an
-    STS method's eigenvalue estimate did not converge or has a positive
-    real part, so that no estimate can be formed."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    of raising.  It raises ValueError on an h or t_f that is not positive
+    and finite, or on bad sample times, and IntegrationAbort when an STS
+    method's eigenvalue estimate did not converge or has a positive real
+    part, so that no estimate can be formed."""
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
+    if not 0.0 < t_f < math.inf:
+        raise ValueError("t_f must be positive and finite")
     stats = RunStats()
     with _run_clock(stats):
         rhs = _counted_rhs(problem, stats)
@@ -443,12 +467,8 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
         t = 0.0
         blew_up = False
 
-        while t < t_f * (1.0 - 1e-14) or tracker.idx < len(tracker.times):
-            stop = tracker.next_stop()
-            # a step that ends within round-off of the stop lands on it, so
-            # accumulated t leaves no sliver step before a sample time
-            clamped = h * (1.0 + 1e-9) >= stop - t
-            h_try = stop - t if clamped else h
+        while t < t_f:
+            h_try, lands = tracker.step(t, h)
             lam_eff, s = 0.0, 0
             stats.attempted += 1
             try:
@@ -466,10 +486,9 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
                                            lam_eff))
             if blew_up:
                 break
-            t = stop if clamped else t + h_try
+            t = tracker.accept(t, h_try, lands, f_trial)
             f = f_trial
             stats.accepted += 1
-            tracker.record_if_hit(t, f)
             eigs.after_accept()
 
     return tracker.samples, stats, blew_up

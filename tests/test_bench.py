@@ -1,4 +1,5 @@
 import argparse
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -55,6 +56,11 @@ def test_config_validation(tmp_path):
                 dict(fixed_h=(0.05, -0.01)), dict(rtol=(), fixed_h=(0.0,))):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    for x in (math.nan, math.inf):
+        for bad in (dict(nu=x), dict(t_f=x), dict(q_lambda=x), dict(atol=x),
+                    dict(fixed_h=(x,))):
+            with pytest.raises(ValueError, match="finite"):
+                ExperimentConfig(**bad)
     # argparse choices guard only the flags, so the config itself must
     # reject a bad value read from a YAML file
     cfgfile = tmp_path / "bad.yaml"

@@ -146,3 +146,20 @@ def test_removed_cache_dir_flag_is_rejected(tmp_path):
               "--cache-dir", str(tmp_path / "cache")])
     assert exc.value.code == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--atol", "nan"), ("--tf", "inf"), ("--tf", "nan"),
+    ("--q-lambda", "nan"), ("--nu", "nan"), ("--fixed-h", "inf")])
+def test_nonfinite_value_is_rejected_before_the_reference(
+        tmp_path, capsys, monkeypatch, flag, value):
+    def boom(*a, **kw):
+        raise AssertionError("built a reference for a bad value")
+
+    monkeypatch.setattr("stsdiff.bench._reference", boom)
+    rc = main(["run", "--problem", "fd", "--nv", "16", "--nx", "1",
+               "--rtol", "1e-3", flag, value,
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

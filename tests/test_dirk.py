@@ -247,6 +247,21 @@ def test_stage_predictor_needs_one_solve_per_implicit_stage(
     assert len(solves) == implicit_stages
 
 
+@pytest.mark.parametrize("order,implicit_stages", [(2, 2), (3, 4)])
+def test_max_newton_bounds_solves_and_the_last_solve_counts(
+        order, implicit_stages, monkeypatch):
+    # one solve per stage reaches tolerance here, so a budget of one
+    # solve suffices: the residual after the last solve is checked
+    solves = counting_cg(monkeypatch)
+    fd_step(order, 1e-3, NewtonConfig(max_newton=1))
+    assert len(solves) == implicit_stages
+    # with no solve allowed, the predictor alone is not enough
+    solves.clear()
+    with pytest.raises(StepFailure, match="within 0 iterations"):
+        fd_step(order, 1e-3, NewtonConfig(max_newton=0))
+    assert solves == []
+
+
 @pytest.mark.parametrize("h", [1e-3, 1e-2])
 @pytest.mark.parametrize("order", [2, 3])
 def test_predicted_step_matches_a_tightly_solved_step(order, h):
@@ -386,3 +401,11 @@ def test_newton_config_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(cg_tol_factor=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            NewtonConfig(tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            NewtonConfig(cg_tol_factor=bad)
+    # with a negative budget the stage residual would go unchecked
+    with pytest.raises(ValueError, match="max_newton"):
+        NewtonConfig(max_newton=-1)

@@ -119,6 +119,45 @@ def test_sampling_lands_exactly_and_in_order():
     assert all(n > 0 for n in norms)
 
 
+@pytest.mark.parametrize("name", ["rkl", "ssp3"])
+def test_step_within_round_off_of_a_stop_lands_on_it(name):
+    # h0 ends 1e-13 short of the sample time 0.1: the step is stretched
+    # onto it and grows like a full step, with no 1e-13 sliver after it
+    log = []
+    samples, stats = advance_adaptive(
+        ZeroProblem(), make_method(name, ZeroProblem(), TOL), TOL,
+        "component", EIG, ControllerConfig(h0=0.1 * (1.0 - 1e-12)), 1.0,
+        [0.1, 1.0], step_log=log)
+    assert stats.attempted == 2 and stats.rejected == 0
+    assert [(r.t, r.h) for r in log] == [(0.0, 0.1), (0.1, 1.0 - 0.1)]
+    assert len(samples) == 2
+
+
+class StiffZeroProblem(ZeroProblem):
+    """A zero operator with a large analytic eigenvalue bound."""
+
+    def lambda_user(self):
+        return 1e9
+
+
+def test_sts_step_is_capped_after_landing():
+    # h0 reaches the stop a hair past the STAGE_CAP interval: the cap
+    # wins and the capped step does not land, so the stop is reached by
+    # a step of its own
+    prob = StiffZeroProblem()
+    method = make_method("rkl", prob, TOL)
+    h_cap = method.interval / prob.lambda_user()
+    stop = h_cap * (1.0 + 1e-10)
+    log = []
+    advance_adaptive(prob, method, TOL, "component",
+                     EigPolicy(mode="user", q_lambda=1.0),
+                     ControllerConfig(h0=stop), 2.0 * h_cap, [stop],
+                     step_log=log)
+    assert (log[0].t, log[0].h, log[0].stages) == (0.0, h_cap, STAGE_CAP)
+    assert (log[1].t, log[1].h) == (h_cap, stop - h_cap)
+    assert all(r.accepted for r in log)
+
+
 def test_adaptive_solution_tracks_reference():
     ref = expm_reference(PROB, 1.0)
     for name in ("rkl", "rkc", "ssp3", "dirk2"):
@@ -412,6 +451,9 @@ def test_config_validation():
         EigPolicy(period=0)
     with pytest.raises(ValueError):
         EigPolicy(q_lambda=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="q_lambda"):
+            EigPolicy(q_lambda=bad)
 
 
 def test_method_factory_rejects_bad_requests():
@@ -439,3 +481,25 @@ def test_driver_input_validation():
     with pytest.raises(ValueError):
         advance_adaptive(PROB, m, TOL, "component", EIG, ControllerConfig(),
                          1.0, [2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_drivers_reject_nonfinite_t_f_and_h(bad):
+    m = make_method("ssp2", PROB, TOL)
+    with pytest.raises(ValueError, match="t_f"):
+        advance_adaptive(PROB, m, TOL, "component", EIG, ControllerConfig(),
+                         bad, [])
+    with pytest.raises(ValueError, match="t_f"):
+        advance_fixed(PROB, m, 0.05, bad, [])
+    with pytest.raises(ValueError, match="h must"):
+        advance_fixed(PROB, m, bad, 1.0, [])
+
+
+@pytest.mark.parametrize("times", [[np.nan], [0.5, np.nan], [np.nan, 0.5]])
+def test_drivers_reject_nan_sample_times(times):
+    m = make_method("ssp2", PROB, TOL)
+    with pytest.raises(ValueError, match="sample times"):
+        advance_adaptive(PROB, m, TOL, "component", EIG, ControllerConfig(),
+                         1.0, times)
+    with pytest.raises(ValueError, match="sample times"):
+        advance_fixed(PROB, m, 0.01, 1.0, times)

@@ -1,0 +1,130 @@
+"""Bitwise regression battery: a fixed set of small integrations, hashed.
+
+    python3 tools/battery.py
+
+Takes no options and prints one line, `<N> integrations <sha256>`.  The
+digest covers every run's samples, step log, RunStats counters, blow-up
+flag and abort message, so two checkouts that print the same line
+computed the same numbers.  To check that a change moves no number, run
+it in a checkout of the parent commit and in the change, and compare the
+two lines.  It imports stsdiff from its own checkout's src/, never from
+an installed copy.
+
+The set: FD 32x4 at nu=10 with the component norm, and DG 16x2 at nu=1
+with the component and the cell norms; rkl, rkc and ssp2-4 on both, plus
+dirk2 and dirk3 on FD; eigenvalues from the analytic bound and from
+power iteration (period 25, seed 0 and period 7, seed 3); adaptive runs
+at rtol 1e-3 and 1e-6 and fixed-step runs at h = 0.0125, 0.0025 and
+0.003; t_f = 0.05 with 20 sample times.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, so that no product's summation order depends on
+# thread scheduling
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from stsdiff import (  # noqa: E402
+    EigPolicy,
+    GridLayout,
+    ToleranceSpec,
+    advance_adaptive,
+    advance_fixed,
+    make_method,
+)
+from stsdiff.bench import sample_times  # noqa: E402
+from stsdiff.domeig import PowerIterConfig  # noqa: E402
+from stsdiff.errors import IntegrationAbort  # noqa: E402
+from stsdiff.problems import DgProblem, FdProblem  # noqa: E402
+
+T_F = 0.05
+RTOLS = (1e-3, 1e-6)
+FIXED_H = (0.0125, 0.0025, 0.003)
+FIXED_TOL = ToleranceSpec(1e-6)
+STS_SSP = ("rkl", "rkc", "ssp2", "ssp3", "ssp4")
+POLICIES = {
+    "user": EigPolicy(mode="user"),
+    "power25": EigPolicy(mode="power", period=25,
+                         power=PowerIterConfig(seed=0)),
+    "power7": EigPolicy(mode="power", period=7,
+                        power=PowerIterConfig(seed=3)),
+}
+COUNTERS = ("attempted", "accepted", "rejected", "rhs_evals", "stages_total",
+            "domeig_calls", "domeig_iters")
+
+
+def configurations():
+    """(label, problem, norm, method names) for each problem and norm."""
+    fd = FdProblem(GridLayout("fd", 32, 4), nu=10.0)
+    dg = DgProblem(GridLayout("dg", 16, 2), nu=1.0)
+    yield "fd", fd, "component", STS_SSP + ("dirk2", "dirk3")
+    yield "dg", dg, "component", STS_SSP
+    yield "dg", dg, "cell", STS_SSP
+
+
+def integrate(problem, name, norm, eig, point, times, log):
+    """One integration: ("adaptive", rtol) or ("fixed", h).  Returns
+    (samples, stats, blew_up)."""
+    kind, value = point
+    tol = ToleranceSpec(value) if kind == "adaptive" else FIXED_TOL
+    method = make_method(name, problem, tol, norm)
+    if kind == "adaptive":
+        samples, stats = advance_adaptive(problem, method, tol, norm, eig,
+                                          t_f=T_F, sample_times=times,
+                                          step_log=log)
+        return samples, stats, False
+    return advance_fixed(problem, method, value, T_F, times, tol=tol,
+                         eig=eig, step_log=log)
+
+
+def main() -> int:
+    times = list(sample_times(T_F))
+    points = ([("adaptive", r) for r in RTOLS]
+              + [("fixed", h) for h in FIXED_H])
+    digest = hashlib.sha256()
+    count = 0
+    warnings.simplefilter("ignore")
+    for label, problem, norm, methods in configurations():
+        for name in methods:
+            # a DIRK method forms no eigenvalue: one policy covers it
+            policies = (["user"] if name.startswith("dirk")
+                        else list(POLICIES))
+            for pol in policies:
+                for point in points:
+                    log = []
+                    digest.update(repr((label, norm, name, pol, point))
+                                  .encode())
+                    try:
+                        samples, stats, blew_up = integrate(
+                            problem, name, norm, POLICIES[pol], point, times,
+                            log)
+                        digest.update(repr(blew_up).encode())
+                        for s in samples:
+                            digest.update(s.values.tobytes())
+                    except IntegrationAbort as abort:
+                        stats = abort.stats
+                        digest.update(f"abort: {abort}".encode())
+                    digest.update(repr([getattr(stats, c) for c in COUNTERS])
+                                  .encode())
+                    for rec in log:
+                        digest.update(repr(dataclasses.astuple(rec))
+                                      .encode())
+                    count += 1
+    print(f"{count} integrations {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
