@@ -32,7 +32,8 @@ from .timeloop import (
 )
 
 N_SAMPLES = 20
-PROBLEM_NAMES = ("fd", "dg")
+PROBLEMS = {FdProblem.kind: FdProblem, DgProblem.kind: DgProblem}
+PROBLEM_NAMES = tuple(PROBLEMS)
 NORM_NAMES = ("component", "cell")
 
 CSV_COLUMNS = [
@@ -84,6 +85,11 @@ class ExperimentConfig:
             raise ValueError("need at least one rtol or fixed_h point")
         if not all(0.0 < h < math.inf for h in self.fixed_h):
             raise ValueError("fixed_h entries must be positive and finite")
+        # both drivers land on every sample time, so a longer step would
+        # run, and be labelled, as a shorter one
+        if any(h > self.t_f / N_SAMPLES for h in self.fixed_h):
+            raise ValueError(f"fixed_h entries must not exceed the sample "
+                             f"spacing t_f/{N_SAMPLES}")
         object.__setattr__(self, "eig", EigPolicy(
             mode=self.eig_mode, q_lambda=self.q_lambda,
             power=PowerIterConfig(tau=self.tau, seed=self.seed)))
@@ -100,13 +106,13 @@ class ExperimentConfig:
 
 
 def build_problem(cfg: ExperimentConfig):
-    if cfg.problem == "fd":
-        return FdProblem(GridLayout("fd", cfg.n_v, cfg.n_x), cfg.nu)
-    return DgProblem(GridLayout("dg", cfg.n_v, cfg.n_x), cfg.nu)
+    return PROBLEMS[cfg.problem](GridLayout(cfg.problem, cfg.n_v, cfg.n_x),
+                                 cfg.nu)
 
 
 def sample_times(t_f: float) -> np.ndarray:
-    return np.array([k * t_f / N_SAMPLES for k in range(1, N_SAMPLES + 1)])
+    # the last is t_f itself: (N_SAMPLES t_f) / N_SAMPLES can miss it
+    return np.array([k * t_f / N_SAMPLES for k in range(1, N_SAMPLES)] + [t_f])
 
 
 @dataclass(frozen=True)

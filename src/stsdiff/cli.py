@@ -46,10 +46,9 @@ def _float_list(text) -> tuple:
 
 def _add_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="YAML file with flag defaults")
-    for dest, (name, default) in _flag_fields().items():
-        # tuple fields stay text here and become lists in build_config
-        kind = type(default) if isinstance(default, (int, float)) else None
-        sub.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind,
+    for dest, (name, _) in _flag_fields().items():
+        # values stay text; build_config parses them as it does YAML values
+        sub.add_argument("--" + dest.replace("_", "-"), dest=dest,
                          choices=_CHOICES.get(name), help=_HELP.get(name))
 
 
@@ -78,7 +77,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     kwargs = {}
     for flag, val in values.items():
         name, default = flag_fields[flag]
-        kwargs[name] = _float_list(val) if isinstance(default, tuple) else val
+        try:
+            kwargs[name] = (_float_list(val) if isinstance(default, tuple)
+                            else type(default)(str(val)))
+        except ValueError as exc:
+            raise ValueError(f"bad value {val!r} for {flag}: {exc}") from None
     if kwargs.get("fixed_h") and "rtol" not in kwargs:
         # a fixed-step scan without --rtol should not inherit the
         # adaptive default and emit a surprise adaptive row

@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..state import GridLayout, StateVector
-from .fd import diffusion_coefficient
-from .lines import LineOperator
+from .lines import LineOperator, initial_profile
 
 SQ3 = np.sqrt(3.0)
 STIFFNESS_QUAD = 2
@@ -36,18 +35,15 @@ class DgProblem(LineOperator):
     LineOperator views, with the (avg, slope) dofs of every v-cell.
     """
 
+    kind = "dg"
     modes = 2
 
     def __init__(self, layout: GridLayout, nu: float, penalty_c: float = 2.0,
                  modulation: float = 0.99):
-        if layout.kind != "dg":
-            raise ValueError("DgProblem requires a DG layout")
-        if penalty_c <= 0:
-            raise ValueError("penalty constant must be positive")
-        self.layout = layout
-        self.nu = nu
+        super().__init__(layout, nu, modulation)
+        if not 0.0 < penalty_c < np.inf:
+            raise ValueError("penalty constant must be positive and finite")
         self.penalty_c = penalty_c
-        self.modulation = modulation
 
         n_v = layout.n_v
         dv = layout.dv
@@ -58,16 +54,13 @@ class DgProblem(LineOperator):
         centers = 0.5 * (self.edges[:-1] + self.edges[1:])
         vq = centers[:, None] + 0.5 * dv * xq[None, :]
         self.cell_d_integral = 0.5 * dv * np.sum(
-            wq * self._d(vq), axis=1)
+            wq * self.diffusivity(vq), axis=1)
         self.cell_average_d = self.cell_d_integral / dv
         # face i sits at edges[i+1], between cells i and i+1 (periodic)
-        self.face_d = self._d(self.edges[1:])
+        self.face_d = self.diffusivity(self.edges[1:])
         # right-multiplying forms for rows of dofs (see rhs)
         self._stencil = tuple(np.ascontiguousarray(blk.transpose(0, 2, 1))
                               for blk in self._assemble_blocks())
-
-    def _d(self, v):
-        return diffusion_coefficient(v, self.nu, self.modulation)
 
     def _assemble_blocks(self):
         """1-D SIPG operator of one family on dofs (avg, slope) per cell,
@@ -122,8 +115,7 @@ class DgProblem(LineOperator):
         xq, wq = np.polynomial.legendre.leggauss(PROJECTION_QUAD)
         centers = 0.5 * (self.edges[:-1] + self.edges[1:])
         vq = centers[:, None] + 0.5 * dv * xq[None, :]
-        fq = (1.0 + 0.3 * np.sin(2.0 * vq)) / np.sqrt(5.5 * np.pi) \
-            * np.exp(-vq**2 / 5.5)
+        fq = initial_profile(vq)
         g0 = 0.5 * np.sum(wq * fq, axis=1)
         g1 = 0.5 * np.sum(wq * SQ3 * xq * fq, axis=1)
         g = np.zeros((n_v, n_x, 2, 2))

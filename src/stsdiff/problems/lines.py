@@ -1,26 +1,52 @@
-"""Dense views of a line-decoupled operator, all derived from its rhs.
+"""The problem both discretizations solve, and the dense views of a
+line-decoupled operator, all derived from its rhs.
 
-Both discretizations act only along v, so the operator repeats one
-line block on every (x-cell, x-mode) line.  A subclass states the
-operator once, as its matrix-free rhs(t, u), and sets `layout` and
-`modes`, the number of dofs per cell along each direction (1 for FD,
-2 for DG).  The line views, the line block and the dense N x N oracle
-all follow from rhs here.
+The problem, du/dt = d/dv(D(v) du/dv) on the periodic square with
+D(v) = nu (1 + modulation sin v), is stated once here: LineOperator
+checks the layout kind and admits (nu, modulation) exactly when
+D(v) > 0 at every v, and `initial_profile` is the start in v, constant
+in x.  A subclass sets `kind` and `modes`, the number of dofs per cell
+along each direction (1 for FD, 2 for DG), and states its operator
+once, as its matrix-free rhs(t, u).  Both act only along v, so the
+operator repeats one line block on every (x-cell, x-mode) line; the
+line views, the line block and the dense N x N oracle follow from rhs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..state import StateVector
+from ..state import GridLayout, StateVector
 
 DENSE_GUARD = 4096
 
 
-class LineOperator:
-    """Base of FdProblem and DgProblem: the dense views of rhs."""
+def initial_profile(v):
+    """Modulated Gaussian in v, the initial state of both problems."""
+    return (1.0 + 0.3 * np.sin(2.0 * v)) / np.sqrt(5.5 * np.pi) \
+        * np.exp(-v**2 / 5.5)
 
+
+class LineOperator:
+    """Base of FdProblem and DgProblem: the problem and the views of rhs."""
+
+    kind: str
     modes: int
+
+    def __init__(self, layout: GridLayout, nu: float, modulation: float):
+        if layout.kind != self.kind:
+            raise ValueError(f"layout kind must be {self.kind!r}")
+        # D(v) > 0 at every v exactly when nu > 0 and |modulation| < 1
+        if not (0.0 < nu < np.inf and abs(modulation) < 1.0):
+            raise ValueError("diffusivity must be positive everywhere: need "
+                             "nu positive and finite and |modulation| < 1")
+        self.layout = layout
+        self.nu = nu
+        self.modulation = modulation
+
+    def diffusivity(self, v):
+        """D(v) = nu (1 + modulation sin v)."""
+        return self.nu * (1.0 + self.modulation * np.sin(v))
 
     def to_lines(self, values: np.ndarray) -> np.ndarray:
         """(m n_x, m n_v) array of a flat state with m = modes: row

@@ -52,10 +52,17 @@ EIG_MODES = ("user", "power")
 @dataclass(frozen=True)
 class ControllerConfig:
     """h0 fixes the first step in place of the derivative-based start;
-    h_min is the step below which a run aborts (1e-12 * t_f if None)."""
+    h_min is the step below which a run aborts (1e-12 * t_f if None, and
+    0 switches the guard off)."""
 
     h0: float | None = None
     h_min: float | None = None
+
+    def __post_init__(self):
+        if self.h0 is not None and not 0.0 < self.h0 < math.inf:
+            raise ValueError("h0 must be None or positive and finite")
+        if self.h_min is not None and not 0.0 <= self.h_min < math.inf:
+            raise ValueError("h_min must be None or non-negative and finite")
 
 
 @dataclass
@@ -443,7 +450,8 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
                   tol: ToleranceSpec = ToleranceSpec(1e-6),
                   eig: EigPolicy = EigPolicy(),
                   step_log=None):
-    """March at constant h; returns (samples, stats, blew_up). Blow-up
+    """March at constant h, cut to end on each stop (sample time, else
+    t_f) a step would pass; returns (samples, stats, blew_up). Blow-up
     (non-finite values, growth past BLOWUP_FACTOR times the initial
     max-norm, a non-finite product in the eigenvalue estimate, or a step
     that needs more than STAGE_CAP stages) stops the run early instead

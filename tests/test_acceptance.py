@@ -25,9 +25,9 @@ from stsdiff.bench import (ExperimentConfig, build_problem, compute_reference,
                            run_experiment, sample_times, CSV_COLUMNS)
 from stsdiff.bench import _expm_reference
 from stsdiff.domeig import _dq, power_iterate, PowerIterConfig
-from stsdiff.integrators import (NewtonConfig, cg_solve, dirk_tableau,
-                                 rkl2_coefficients, rkc2_coefficients,
-                                 stability_interval, sts_step)
+from stsdiff.integrators.dirk import NewtonConfig, cg_solve, dirk_tableau
+from stsdiff.integrators.sts import (rkl2_coefficients, rkc2_coefficients,
+                                     stability_interval, sts_step)
 from stsdiff.state import GridLayout, StateVector, ToleranceSpec
 from stsdiff import (ControllerConfig, EigPolicy, advance_adaptive,
                      advance_fixed, make_method)

@@ -69,6 +69,41 @@ def test_config_validation(tmp_path):
         build_config(argparse.Namespace(config=str(cfgfile)))
 
 
+def test_last_sample_time_is_t_f():
+    # (20 t_f) / 20 misses t_f by an ulp for about one t_f in eight;
+    # 0.00021 and 0.00043000000000000004 miss it upwards and downwards
+    rng = np.random.default_rng(5)
+    for t_f in [0.00021, 0.00043000000000000004, 0.05, 1.0,
+                *rng.uniform(1e-3, 10.0, 2000)]:
+        times = sample_times(t_f)
+        assert times[-1] == t_f
+        assert np.all(np.diff(times) > 0.0)
+        np.testing.assert_array_equal(
+            times[:-1], [k * t_f / 20 for k in range(1, 20)])
+
+
+@pytest.mark.parametrize("method", ["rkl", "ssp3"])
+def test_fixed_run_ends_at_t_f_without_a_sliver_step(tmp_path, method):
+    # here (20 t_f) / 20 falls an ulp short of t_f, which left a 5e-20
+    # step after the last sample time
+    t_f = 0.00043000000000000004
+    [row] = run_experiment(small_cfg(tmp_path, method=method, n_v=16,
+                                     rtol=(), t_f=t_f, fixed_h=(t_f / 40,),
+                                     eig_mode="user"), write=False)
+    assert row["status"] == "ok" and not row["blew_up"]
+    assert (row["steps"], row["rejected"]) == (40, 0)
+
+
+def test_fixed_h_past_the_sample_spacing_is_rejected(tmp_path):
+    # both drivers land on every sample time, so a 0.02 step at spacing
+    # 0.005 would run, and be labelled, as a 0.005 step
+    with pytest.raises(ValueError, match="spacing"):
+        small_cfg(tmp_path, t_f=0.1, rtol=(), fixed_h=(0.02, 0.01, 0.005))
+    assert small_cfg(tmp_path, t_f=0.1, fixed_h=(0.005,)).fixed_h == (0.005,)
+    with pytest.raises(ValueError, match="spacing"):
+        _study_points("stability", small_cfg(tmp_path, t_f=0.1))
+
+
 def test_fingerprint_tracks_solution_fields_only(tmp_path):
     cfg = small_cfg(tmp_path)
     fp = cfg.fingerprint()
@@ -253,10 +288,9 @@ def test_aborted_point_keeps_its_work(tmp_path):
 
 
 def test_steps_past_stage_cap_still_return_rows(tmp_path):
-    # at nu = 1e7 even the 0.05 steps between sample times need more than
-    # STAGE_CAP stages
+    # at nu = 1e7 even the 0.025 steps need more than STAGE_CAP stages
     cfg = small_cfg(tmp_path, problem="dg", n_v=16, n_x=1, nu=1e7, rtol=(),
-                    fixed_h=(0.5, 0.05), eig_mode="user")
+                    fixed_h=(0.025, 0.05), eig_mode="user")
     rows = run_experiment(cfg)
     assert [r["blew_up"] for r in rows] == [True, True]
     assert all(np.isnan(r["error_Linf20"]) for r in rows)

@@ -163,3 +163,52 @@ def test_nonfinite_value_is_rejected_before_the_reference(
     assert rc == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_yaml_values_are_parsed_like_flag_text(tmp_path, capsys):
+    # YAML 1.1 reads 1e-1 as a string, not a float
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text("problem: fd\nnv: 16\nnx: 1\nnu: 1e-1\ntf: 1e-1\n"
+                       "rtol: [1e-3]\nq-lambda: 1.2\n", encoding="utf-8")
+    cfg = build_config(namespace(config=str(cfgfile)))
+    assert (cfg.nu, cfg.t_f, cfg.n_v) == (0.1, 0.1, 16)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+
+@pytest.mark.parametrize("yaml_text,flags", [
+    ("nv: 16.5\n", []), ("", ["--nv", "abc"]), ("tf: abc\n", [])],
+    ids=["yaml-nv", "flag-nv", "yaml-tf"])
+def test_bad_value_exits_2_from_yaml_or_flag(tmp_path, capsys, yaml_text,
+                                             flags):
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text(yaml_text, encoding="utf-8")
+    rc = main(["run", "--config", str(cfgfile), *flags,
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_last_sample_time_above_t_f_no_longer_fails_a_run(tmp_path):
+    # (20 * 0.00021) / 20 exceeds 0.00021 by an ulp
+    out = tmp_path / "x.csv"
+    assert main(["run", "--problem", "fd", "--nv", "16", "--nx", "1",
+                 "--tf", "0.00021", "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+
+def test_fixed_h_past_the_sample_spacing_exits_2(tmp_path, capsys,
+                                                 monkeypatch):
+    def boom(*a, **kw):
+        raise AssertionError("built a reference for a bad value")
+
+    monkeypatch.setattr("stsdiff.bench._reference", boom)
+    rc = main(["run", "--problem", "dg", "--nv", "16", "--nx", "2",
+               "--method", "ssp4", "--tf", "0.1", "--eig-mode", "user",
+               "--fixed-h", "0.02,0.01,0.005",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "spacing" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from stsdiff.bench import PROBLEMS
 from stsdiff.problems import DgProblem, FdProblem
+from stsdiff.problems.lines import initial_profile
 from stsdiff.state import GridLayout
-
-PROBLEMS = {"fd": FdProblem, "dg": DgProblem}
 
 
 def make(kind, n_v, n_x):
@@ -53,3 +55,47 @@ def test_line_block_probes_one_column_per_line_and_call(kind, n_v, n_x,
     monkeypatch.setattr(p, "rhs", counted)
     p.line_matrix()
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("kind", ["fd", "dg"])
+@pytest.mark.parametrize("nu,modulation", [
+    (1.0, 1.5), (1.0, 1.0), (1.0, -1.0), (1.0, math.nan), (0.0, 0.5),
+    (-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5)])
+def test_rejects_a_diffusivity_not_positive_everywhere(kind, nu, modulation):
+    # D(v) = nu (1 + modulation sin v) > 0 at every v exactly when nu is
+    # positive and |modulation| < 1, whether or not a grid point samples
+    # the zero of D: FD 16x1 has no face at v = -pi/2 or pi/2
+    with pytest.raises(ValueError, match="positive everywhere"):
+        PROBLEMS[kind](GridLayout(kind, 16, 1), nu, modulation=modulation)
+
+
+@pytest.mark.parametrize("kind", ["fd", "dg"])
+@pytest.mark.parametrize("modulation", [-0.999999, 0.0, 0.999999])
+def test_admits_modulation_inside_the_unit_interval(kind, modulation):
+    p = PROBLEMS[kind](GridLayout(kind, 16, 1), 1e-3, modulation=modulation)
+    assert np.all(p.face_d > 0.0)
+    v = np.linspace(-np.pi, np.pi, 7)
+    np.testing.assert_array_equal(p.diffusivity(v),
+                                  1e-3 * (1.0 + modulation * np.sin(v)))
+
+
+@pytest.mark.parametrize("penalty_c", [0.0, -1.0, math.nan, math.inf])
+def test_dg_penalty_must_be_positive_and_finite(penalty_c):
+    with pytest.raises(ValueError, match="penalty"):
+        DgProblem(GridLayout("dg", 8, 1), 1.0, penalty_c=penalty_c)
+
+
+def test_both_initial_states_come_from_the_one_profile():
+    # FD samples the profile at v_i = -pi + i dv; DG's cell averages are
+    # its 8-point Gauss means over each cell
+    fd = FdProblem(GridLayout("fd", 32, 1), 1.0)
+    v = -np.pi + np.arange(32) * fd.layout.dv
+    np.testing.assert_array_equal(fd.initial_condition().values,
+                                  initial_profile(v))
+    dg = DgProblem(GridLayout("dg", 32, 1), 1.0)
+    avg = dg.initial_condition().values.reshape(32, 4)[:, 0]
+    xq, wq = np.polynomial.legendre.leggauss(8)
+    vq = (dg.edges[:-1, None] + dg.edges[1:, None]) / 2 \
+        + dg.layout.dv / 2 * xq
+    np.testing.assert_allclose(avg, 0.5 * initial_profile(vq) @ wq,
+                               rtol=1e-14)

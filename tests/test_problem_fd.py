@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stsdiff.state import GridLayout, StateVector
-from stsdiff.problems.fd import FdProblem, initial_condition_fd
+from stsdiff.problems.fd import FdProblem
+from stsdiff.problems.lines import initial_profile
 
 
 def uniform_problem(n_v, n_x, nu=1.0):
@@ -133,27 +134,27 @@ class TestRhs:
 class TestInitialCondition:
     def test_value_at_origin(self):
         # profile at v = 0 is 1/sqrt(5.5 pi)
-        lay = GridLayout("fd", 64, 2)
-        u = initial_condition_fd(lay)
+        u = bench_problem(64, 2).initial_condition()
         g = u.values.reshape(64, 2)
         i0 = 32  # v_i = -pi + i dv hits 0 at i = n_v/2
         assert g[i0, 0] == pytest.approx(1.0 / np.sqrt(5.5 * np.pi), rel=1e-14)
         assert g[i0, 0] == pytest.approx(0.2405712, abs=5e-8)
 
     def test_x_independent(self):
-        lay = GridLayout("fd", 32, 5)
-        g = initial_condition_fd(lay).values.reshape(32, 5)
+        g = bench_problem(32, 5).initial_condition().values.reshape(32, 5)
         for k in range(1, 5):
             np.testing.assert_array_equal(g[:, k], g[:, 0])
 
     def test_positive(self):
-        lay = GridLayout("fd", 128, 1)
-        assert np.min(initial_condition_fd(lay).values) > 0.0
+        assert np.min(bench_problem(128, 1).initial_condition().values) > 0.0
 
     def test_problem_method_agrees(self):
+        # the shared profile, sampled at the grid points v_i = -pi + i dv
         p = bench_problem(16, 2)
+        v = -np.pi + np.arange(16) * p.layout.dv
         np.testing.assert_array_equal(
-            p.initial_condition().values, initial_condition_fd(p.layout).values)
+            p.initial_condition().values.reshape(16, 2),
+            np.stack([initial_profile(v)] * 2, axis=1))
 
 
 class TestJacobianDiagonal:

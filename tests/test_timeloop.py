@@ -456,6 +456,21 @@ def test_config_validation():
             EigPolicy(q_lambda=bad)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(h0=np.nan), dict(h0=np.inf), dict(h0=0.0), dict(h0=-1.0),
+    dict(h0=-1.0, h_min=np.nan), dict(h_min=-1.0), dict(h_min=np.nan),
+    dict(h_min=np.inf)])
+def test_controller_config_rejects_bad_steps(bad):
+    # the first field named in bad is the one rejected
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ControllerConfig(**bad)
+
+
+def test_controller_config_accepts_zero_h_min():
+    # h_min = 0 switches the h_min guard off
+    assert ControllerConfig(h0=1e-3, h_min=0.0).h_min == 0.0
+
+
 def test_method_factory_rejects_bad_requests():
     with pytest.raises(ValueError):
         make_method("rk4", PROB, TOL)
