@@ -48,9 +48,10 @@ CSV_COLUMNS = [
 class ExperimentConfig:
     """One experiment.  Besides its fields it carries the settings its
     integrations use, built at construction so that their own rules
-    reject a bad value before any integration runs: eig, the EigPolicy,
-    and points, one (rtol_or_h, ToleranceSpec, fixed h or None) per
-    rtol point and then per fixed_h point."""
+    reject a bad value before any integration runs: layout, the
+    GridLayout, eig, the EigPolicy, and points, one (rtol_or_h,
+    ToleranceSpec, fixed h or None) per rtol point and then per fixed_h
+    point."""
 
     problem: str = "fd"
     method: str = "rkl"
@@ -73,10 +74,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.method not in METHOD_NAMES:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method.startswith("dirk") and self.problem != "fd":
-            raise ValueError("dirk methods require problem = fd")
-        if self.n_v <= 0 or self.n_x <= 0:
-            raise ValueError("grid extents must be positive")
+        object.__setattr__(self, "layout",
+                           GridLayout(self.problem, self.n_v, self.n_x))
         if not (0.0 < self.nu < math.inf and 0.0 < self.t_f < math.inf):
             raise ValueError("nu and t_f must be positive and finite")
         if self.norm not in NORM_NAMES:
@@ -106,8 +105,7 @@ class ExperimentConfig:
 
 
 def build_problem(cfg: ExperimentConfig):
-    return PROBLEMS[cfg.problem](GridLayout(cfg.problem, cfg.n_v, cfg.n_x),
-                                 cfg.nu)
+    return PROBLEMS[cfg.problem](cfg.layout, cfg.nu)
 
 
 def sample_times(t_f: float) -> np.ndarray:
@@ -252,19 +250,19 @@ STUDY_NAMES = ("efficiency", "stability", "eigsafety", "normcompare",
 
 RTOL_WIDE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 NU_GRID = (0.1, 1.0, 10.0)
+# step sizes per unit t_f: the stability study scales them by t_f, so
+# the largest, 0.02 t_f, stays within the sample spacing t_f/20
 FIXED_H_GRID = (2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 
 def _study_points(name: str, base: ExperimentConfig):
-    methods = [m for m in METHOD_NAMES
-               if base.problem == "fd" or not m.startswith("dirk")]
     if name == "efficiency":
         return [replace(base, method=m, nu=nu)
-                for m in methods for nu in NU_GRID]
+                for m in METHOD_NAMES for nu in NU_GRID]
     if name == "stability":
-        hs = base.fixed_h if base.fixed_h else FIXED_H_GRID
+        hs = base.fixed_h or tuple(h * base.t_f for h in FIXED_H_GRID)
         return [replace(base, method=m, nu=nu, fixed_h=hs, rtol=())
-                for m in methods for nu in NU_GRID]
+                for m in METHOD_NAMES for nu in NU_GRID]
     if name == "eigsafety":
         return [replace(base, eig_mode="power", q_lambda=q, rtol=RTOL_WIDE)
                 for q in (1.0, 1.05, 1.1, 1.2)]

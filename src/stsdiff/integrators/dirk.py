@@ -2,9 +2,9 @@
 inexact-Newton stage solves and a matrix-free, unpreconditioned
 conjugate-gradient linear solver.
 
-These are wired to the finite-difference problem only: its Jacobian is
-symmetric negative semidefinite, so every stage operator I - h A_ii J
-is symmetric positive definite and CG is applicable.
+They run on both problems.  The FD operator and the SIPG operator with
+identity mass are both symmetric negative semidefinite, so every stage
+operator I - h A_ii J is symmetric positive definite and CG applies.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ partitioning for DG) is defined in terms of the types in this module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,9 @@ class GridLayout:
     def __post_init__(self):
         if self.kind not in ("fd", "dg"):
             raise ValueError(f"unknown layout kind {self.kind!r}")
-        if self.n_v < 1 or self.n_x < 1:
-            raise ValueError("grid counts must be positive")
+        if not all(isinstance(n, numbers.Integral) and n >= 1
+                   for n in (self.n_v, self.n_x)):
+            raise ValueError("grid counts must be positive integers")
 
     @property
     def n_b(self) -> int:

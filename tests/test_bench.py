@@ -8,6 +8,8 @@ import pytest
 
 from stsdiff.bench import (
     CSV_COLUMNS,
+    FIXED_H_GRID,
+    N_SAMPLES,
     ExperimentConfig,
     ReferenceSolution,
     _expm_reference,
@@ -40,10 +42,10 @@ def test_config_validation(tmp_path):
         ExperimentConfig(problem="fem")
     with pytest.raises(ValueError):
         ExperimentConfig(method="rk45")
-    with pytest.raises(ValueError):
-        ExperimentConfig(problem="dg", method="dirk2")
-    with pytest.raises(ValueError):
-        ExperimentConfig(n_v=0)
+    assert ExperimentConfig(problem="dg", method="dirk2").method == "dirk2"
+    for bad in (dict(n_v=0), dict(n_v=16.5, n_x=1)):
+        with pytest.raises(ValueError, match="grid counts"):
+            ExperimentConfig(**bad)
     with pytest.raises(ValueError):
         ExperimentConfig(nu=-1.0)
     with pytest.raises(ValueError):
@@ -100,8 +102,13 @@ def test_fixed_h_past_the_sample_spacing_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="spacing"):
         small_cfg(tmp_path, t_f=0.1, rtol=(), fixed_h=(0.02, 0.01, 0.005))
     assert small_cfg(tmp_path, t_f=0.1, fixed_h=(0.005,)).fixed_h == (0.005,)
-    with pytest.raises(ValueError, match="spacing"):
-        _study_points("stability", small_cfg(tmp_path, t_f=0.1))
+    # the stability study's own grid scales with t_f, so it fits any t_f
+    # and is FIXED_H_GRID itself at t_f = 1
+    assert (_study_points("stability", small_cfg(tmp_path))[0].fixed_h
+            == FIXED_H_GRID)
+    points = _study_points("stability", small_cfg(tmp_path, t_f=0.1))
+    assert points and all(h <= 0.1 / N_SAMPLES
+                          for c in points for h in c.fixed_h)
 
 
 def test_fingerprint_tracks_solution_fields_only(tmp_path):
@@ -317,8 +324,8 @@ def test_study_expansion_grids(tmp_path):
     assert len({(c.method, c.nu) for c in eff}) == 21
     dg_eff = _study_points("efficiency", small_cfg(tmp_path, problem="dg",
                                                    method="rkl"))
-    assert all(not c.method.startswith("dirk") for c in dg_eff)
-    assert len(dg_eff) == 5 * 3
+    assert len({(c.method, c.nu) for c in dg_eff}) == len(dg_eff) == 7 * 3
+    assert {"dirk2", "dirk3"} <= {c.method for c in dg_eff}
     safety = _study_points("eigsafety", base)
     assert sorted(c.q_lambda for c in safety) == [1.0, 1.05, 1.1, 1.2]
     assert all(len(c.rtol) == 7 for c in safety)

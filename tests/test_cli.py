@@ -90,10 +90,11 @@ def test_unknown_config_key_rejected(tmp_path):
 
 
 def test_invalid_flag_combination_exits_nonzero(tmp_path, capsys):
-    rc = main(["run", "--problem", "dg", "--method", "dirk2",
-               "--out", str(tmp_path / "x.csv")])
+    # an empty rtol list and no fixed_h leave nothing to run
+    rc = main(["run", "--rtol", "", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert "need at least one rtol or fixed_h point" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_every_flag_is_backed_by_a_config_field():

@@ -3,6 +3,7 @@ import pytest
 
 from stsdiff import (GridLayout, StateVector, ToleranceSpec,
                      advance_adaptive, make_method, wrms)
+from stsdiff.bench import PROBLEMS
 from stsdiff.errors import StepFailure
 from stsdiff.integrators import dirk
 from stsdiff.integrators.dirk import (
@@ -299,22 +300,29 @@ def test_quiescent_state_is_preserved_exactly():
     assert np.all(err.values == 0.0)
 
 
-def test_adaptive_dirk3_run_stays_within_its_cg_budget(monkeypatch):
-    # a whole error-controlled run, not one step from the initial state:
-    # 2,316 products with plain CG, 4,187 with Jacobi preconditioning
-    prob = FdProblem(GridLayout("fd", 64, 4), nu=10.0)
+@pytest.mark.parametrize("kind,n_v,n_x,norm,budget", [
+    # FD: 2,316 products with plain CG, 4,187 with Jacobi preconditioning
+    ("fd", 64, 4, "component", 3000),
+    # DG: 5,383 products
+    ("dg", 32, 4, "cell", 7000),
+], ids=["fd", "dg"])
+def test_adaptive_dirk3_run_stays_within_its_cg_budget(
+        kind, n_v, n_x, norm, budget, monkeypatch):
+    # a whole error-controlled run, not one step from the initial state
+    prob = PROBLEMS[kind](GridLayout(kind, n_v, n_x), nu=10.0)
     tol = ToleranceSpec(1e-6)
     solves = counting_cg(monkeypatch)
-    _, stats = advance_adaptive(prob, make_method("dirk3", prob, tol), tol,
-                                "component", t_f=0.25)
+    _, stats = advance_adaptive(prob, make_method("dirk3", prob, tol, norm),
+                                tol, norm, t_f=0.25)
     assert stats.rejected == 0
-    assert sum(solves) <= 3000
+    assert sum(solves) <= budget
 
 
+@pytest.mark.parametrize("kind", ["fd", "dg"])
 @pytest.mark.parametrize("order,band", [(2, (1.8, 2.2)), (3, (2.7, 3.2))])
-def test_fixed_step_convergence_on_diffusion(order, band):
-    lay = GridLayout("fd", 16, 1)
-    prob = FdProblem(lay, nu=1.0)
+def test_fixed_step_convergence_on_diffusion(order, band, kind):
+    lay = GridLayout(kind, 16, 1)
+    prob = PROBLEMS[kind](lay, nu=1.0)
     J = prob.assemble_matrix()
     w, V = np.linalg.eigh((J + J.T) / 2)
     f0 = prob.initial_condition()

@@ -1,7 +1,8 @@
 """The calls the benchmark (perfbench/run.py) makes into the package, on
 small grids: set-up and reference, the line-block and dense-oracle
-checks, and one adaptive and one fixed integration per method family
-(DIRK adaptive only: the benchmark has no fixed-step error law for it).
+checks, and one adaptive and one fixed integration per method family on
+each problem (DIRK adaptive only: the benchmark has no fixed-step error
+law for it).
 A change that breaks one of these calls fails here, not only in the
 benchmark."""
 
@@ -47,7 +48,8 @@ def small_workload(run, kind):
     ops = (Op("rkl", "power", 1.1, rtol=1e-4),
            Op("rkl", "user", 1.1, h=0.0125),
            Op("ssp4", "power", 1.2, rtol=1e-4),
-           Op("ssp3", "user", 1.1, h=0.0125))
+           Op("ssp3", "user", 1.1, h=0.0125),
+           Op("dirk2", rtol=1e-4))
     return run.spec.Workload("dg-small", "", "dg", 8, 2, 1.0, "cell", ops)
 
 

@@ -39,6 +39,13 @@ class TestGridLayout:
         with pytest.raises(ValueError):
             GridLayout("fd", 0, 8)
 
+    def test_rejects_non_integer_counts(self):
+        # a float count would reach n_dof and fail later as a TypeError
+        for n_v, n_x in ((16.5, 1), (16.0, 1), (16, 2.0), ("16", 1)):
+            with pytest.raises(ValueError, match="integers"):
+                GridLayout("fd", n_v, n_x)
+        assert GridLayout("dg", np.int64(16), np.int32(2)).n_dof == 128
+
 
 class TestStateVector:
     def test_length_must_match_layout(self):

@@ -478,9 +478,10 @@ def test_method_factory_rejects_bad_requests():
 
     dg = DgProblem(GridLayout("dg", 8, 2), nu=1.0)
     with pytest.raises(ValueError):
-        make_method("dirk2", dg, TOL)
+        make_method("rk4", dg, TOL)
     for name in ("rkl", "rkc", "ssp2", "ssp3", "ssp4", "dirk2", "dirk3"):
         assert make_method(name, PROB, TOL).name == name
+        assert make_method(name, dg, TOL).name == name
 
 
 def test_driver_input_validation():
