@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailure
-from .state import GridLayout, StateVector, ToleranceSpec, wrms
+from .state import GridLayout, StateVector, ToleranceSpec, is_count, wrms
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,10 @@ class PowerIterConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.max_iters < 2:
-            raise ValueError("max_iters must be at least 2")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not is_count(self.max_iters, 2):
+            raise ValueError("max_iters must be an integer of at least 2")
+        if not is_count(self.seed, 0):
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,14 @@ def _start_vector(layout: GridLayout, seed: int) -> np.ndarray:
     return v - (v @ e0) * e0
 
 
-def power_iterate(rhs, t: float, f: StateVector, cfg: PowerIterConfig,
-                  tol: ToleranceSpec, v0: np.ndarray | None = None
-                  ) -> DomEigEstimate:
+def power_iterate(rhs, t: float, f: StateVector, g: StateVector,
+                  cfg: PowerIterConfig, tol: ToleranceSpec,
+                  v0: np.ndarray | None = None) -> DomEigEstimate:
     """Power iteration with Euclidean renormalization and a Rayleigh
-    quotient that reuses the update product (one rhs call per iteration
-    after the base evaluation).
+    quotient that reuses the update product.  Every product is taken
+    around g = rhs(t, f), which the caller supplies and the iteration
+    only reads, so an estimate of `iters` iterations costs `iters` rhs
+    calls.
 
     Stops when the relative Rayleigh change drops below cfg.tau, which
     bounds the error only for a spectrum with a clear gap (see
@@ -114,11 +116,10 @@ def power_iterate(rhs, t: float, f: StateVector, cfg: PowerIterConfig,
     """
     v = _start_vector(f.layout, cfg.seed) if v0 is None else np.array(
         v0, dtype=float)
-    base = rhs(t, f).values
     lam = 0.0
     lam_prev = None
     for k in range(1, cfg.max_iters + 1):
-        w = _dq(rhs, t, f, base, v, f, tol, "component")
+        w = _dq(rhs, t, f, g.values, v, f, tol, "component")
         if not np.all(np.isfinite(w)):
             raise StepFailure("non-finite values in power iteration product")
         wnorm = np.linalg.norm(w)

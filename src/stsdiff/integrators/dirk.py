@@ -16,7 +16,7 @@ import numpy as np
 
 from ..domeig import _dq
 from ..errors import StepFailure
-from ..state import StateVector, ToleranceSpec, wrms
+from ..state import StateVector, ToleranceSpec, is_count, wrms
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,10 @@ class NewtonConfig:
         if not (0.0 < self.tol < math.inf
                 and 0.0 < self.cg_tol_factor < math.inf):
             raise ValueError("solver tolerances must be positive and finite")
-        if self.max_newton < 0:
-            raise ValueError("max_newton must be non-negative")
+        if not is_count(self.max_newton, 0):
+            raise ValueError("max_newton must be a non-negative integer")
+        if not is_count(self.max_cg, 0):
+            raise ValueError("max_cg must be a non-negative integer")
 
 
 def cg_solve(apply_A, rhs_vec: np.ndarray, tol: float,
@@ -131,30 +133,30 @@ def cg_solve(apply_A, rhs_vec: np.ndarray, tol: float,
 
 
 def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
-              scheme: DirkScheme, newton: NewtonConfig, tol: ToleranceSpec,
-              norm_kind: str = "component"):
+              scheme: DirkScheme, g_n: StateVector, newton: NewtonConfig,
+              tol: ToleranceSpec, norm_kind: str = "component"):
     """One DIRK step; returns (f_next, error_estimate).
 
-    Each implicit stage solves F(z) = z - h A_ii G(t_i, z) - a_i = 0 by
-    inexact Newton from the predictor z = a_i + h A_ii g_{i-1}, which
-    takes the previous stage's derivative for G(t_i, z).  The linearized
-    systems (I - h A_ii J) delta = -F use matrix-free CG.  J v is the
+    Stage 0 of both tableaus is explicit, a[0, :] = 0 and c[0] = 0, so
+    its derivative is g_n = rhs(t_n, f_n), which the caller supplies and
+    the step only reads; the step calls rhs for the implicit stages only.
+    Each of them solves F(z) = z - h A_ii G(t_i, z) - a_i = 0 by inexact
+    Newton from the predictor z = a_i + h A_ii g_{i-1}, which takes the
+    previous stage's derivative for G(t_i, z).  The linearized systems
+    (I - h A_ii J) delta = -F use matrix-free CG.  J v is the
     difference-quotient product around z, weighted by f_n."""
     lay = f_n.layout
     s = scheme.s
     gs = np.zeros((s, lay.n_dof))
+    gs[0] = g_n.values
+    if not np.all(np.isfinite(gs[0])):
+        raise StepFailure("non-finite derivative at the step's start")
     cg_tol = newton.cg_tol_factor * newton.tol
 
-    for i in range(s):
+    for i in range(1, s):
         t_i = t_n + scheme.c[i] * h
-        a_i = f_n.values + h * (scheme.a[i, :i].T @ gs[:i]
-                                if i else np.zeros(lay.n_dof))
+        a_i = f_n.values + h * (scheme.a[i, :i].T @ gs[:i])
         aii = scheme.a[i, i]
-        if aii == 0.0:
-            gs[i] = rhs(t_i, StateVector(a_i, lay)).values
-            if not np.all(np.isfinite(gs[i])):
-                raise StepFailure("non-finite explicit-stage derivative")
-            continue
         z = a_i + h * aii * gs[i - 1]
         g_z = rhs(t_i, StateVector(z, lay)).values
         # the residual is checked before the first solve and after every

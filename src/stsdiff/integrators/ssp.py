@@ -165,9 +165,13 @@ def ssp_scheme(order: int) -> ShuOsherScheme:
 
 
 def ssp_step(rhs, t_n: float, f_n: StateVector, h: float,
-             scheme: ShuOsherScheme):
+             scheme: ShuOsherScheme, g_n: StateVector):
     """One SSP step; returns (f_next, error_estimate) where the estimate
     is the difference to the embedded lower-order solution.
+
+    Stage 1 is f_n itself, and its derivative is g_n = rhs(t_n, f_n),
+    which the caller supplies and the step only reads; so an s-stage
+    step costs s - 1 right-hand-side calls.
 
     Each row's combination starts from its first alpha term, a stage
     value or derivative is dropped after the last row that reads it, and
@@ -183,7 +187,8 @@ def ssp_step(rhs, t_n: float, f_n: StateVector, h: float,
     for i, (alpha, beta) in enumerate(scheme._float_rows):
         for j in beta:
             if j not in fs:
-                fj = rhs(t_n + c[j - 1] * h, StateVector(live[j], lay)).values
+                fj = g_n.values if j == 1 else rhs(
+                    t_n + c[j - 1] * h, StateVector(live[j], lay)).values
                 if d[j - 1]:
                     err += d[j - 1] * fj
                 fs[j] = fj

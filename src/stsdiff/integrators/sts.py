@@ -9,7 +9,9 @@ Both run the same three-register recursion
           + h a~_j G(t_{n,j-1}, z_{j-1}) + h g~_j G(t_n, z_0)
 
 and differ only in the coefficient construction (shifted Legendre vs
-damped Chebyshev).  A step costs exactly s + 1 right-hand-side calls.
+damped Chebyshev).  The caller supplies G(t_n, z_0), the state's
+right-hand side, so a step costs s right-hand-side calls: s - 1 for the
+stages and one for G(t_n + h, f_next), which the error estimate needs.
 """
 
 from __future__ import annotations
@@ -166,15 +168,15 @@ def stage_count(h: float, lambda_eff: float, family: str) -> int:
 
 
 def sts_step(rhs, t_n: float, f_n: StateVector, h: float,
-             coeffs: StsCoefficients):
-    """One super-time-step.
+             coeffs: StsCoefficients, g_n: StateVector):
+    """One super-time-step from f_n, whose right-hand side
+    g_n = rhs(t_n, f_n) the caller supplies and the step only reads.
 
-    Returns (f_next, g_n, g_next) where g_n = rhs(t_n, f_n) and
-    g_next = rhs(t_n + h, f_next) feed the cubic-Hermite error
-    estimator.  The five arrays a stage reads, z_{j-1}, z_{j-2}, z_0,
-    g = G(t_{n,j-1}, z_{j-1}) and g_0, are the rows of one (5, N) block,
-    so each stage is one weighted sum of its rows; the two z rows swap
-    roles after every stage.
+    Returns (f_next, g_next) where g_next = rhs(t_n + h, f_next); with
+    g_n they feed the cubic-Hermite error estimator.  The five arrays a
+    stage reads, z_{j-1}, z_{j-2}, z_0, g = G(t_{n,j-1}, z_{j-1}) and
+    g_0, are the rows of one (5, N) block, so each stage is one weighted
+    sum of its rows; the two z rows swap roles after every stage.
     """
     lay = f_n.layout
     s = coeffs.s
@@ -182,7 +184,7 @@ def sts_step(rhs, t_n: float, f_n: StateVector, h: float,
     alpha_tilde = coeffs.alpha_tilde.tolist()
     gamma_tilde = coeffs.gamma_tilde.tolist()
     c = coeffs.c.tolist()
-    g0 = rhs(t_n, f_n).values
+    g0 = g_n.values
     rows = np.empty((5, lay.n_dof))
     rows[0] = f_n.values + (h * alpha_tilde[1]) * g0
     rows[1] = f_n.values
@@ -206,7 +208,7 @@ def sts_step(rhs, t_n: float, f_n: StateVector, h: float,
     g_next = rhs(t_n + h, f_next)
     if not np.all(np.isfinite(g_next.values)):
         raise StepFailure("non-finite right-hand side after step")
-    return f_next, StateVector(g0, lay), g_next
+    return f_next, g_next
 
 
 def hermite_error(f_n: StateVector, f_next: StateVector, g_n: StateVector,

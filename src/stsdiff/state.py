@@ -15,6 +15,12 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+def is_count(n, least: int) -> bool:
+    """Whether n is an integer, numpy integers included, of at least
+    least: the rule for every count a setting gives."""
+    return isinstance(n, numbers.Integral) and n >= least
+
+
 @dataclass(frozen=True)
 class GridLayout:
     """Discretization descriptor on the periodic rectangle [-pi,pi]^2.
@@ -33,8 +39,7 @@ class GridLayout:
     def __post_init__(self):
         if self.kind not in ("fd", "dg"):
             raise ValueError(f"unknown layout kind {self.kind!r}")
-        if not all(isinstance(n, numbers.Integral) and n >= 1
-                   for n in (self.n_v, self.n_x)):
+        if not (is_count(self.n_v, 1) and is_count(self.n_x, 1)):
             raise ValueError("grid counts must be positive integers")
 
     @property

@@ -9,6 +9,11 @@ counters. The fixed driver marches at constant h and flags blow-up
 instead of failing. Both end a step by one rule: a step of size h from
 t lands exactly on the next stop (sample time, else t_f) when
 h (1 + 1e-9) >= stop - t, so round-off in t leaves no sliver step.
+
+The drivers own F(t_n, f_n): each evaluates g = rhs(t_n, f_n) once per
+state, at the first attempt from it (or for the start step), keeps it
+across rejected attempts and passes it to the step, to the eigenvalue
+estimate and to the start step, none of which writes into it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .integrators.sts import (
     stage_count,
     sts_step,
 )
-from .state import StateVector, ToleranceSpec, wrms
+from .state import StateVector, ToleranceSpec, is_count, wrms
 
 BLOWUP_FACTOR = 1e10
 MAX_CONSECUTIVE_REJECTIONS = 10
@@ -114,8 +119,8 @@ class EigPolicy:
             raise ValueError(f"unknown eig mode {self.mode!r}")
         if self.refresh not in ("once", "periodic"):
             raise ValueError(f"unknown refresh policy {self.refresh!r}")
-        if self.period < 1:
-            raise ValueError("refresh period must be at least 1")
+        if not is_count(self.period, 1):
+            raise ValueError("refresh period must be an integer of at least 1")
         if not 0.0 < self.q_lambda < math.inf:
             raise ValueError("q_lambda must be positive and finite")
 
@@ -137,14 +142,14 @@ class _StsMethod:
     def stages_for(self, h: float, lam_eff: float) -> int:
         return stage_count(h, lam_eff, self.sts_family)
 
-    def step(self, rhs, t, f, h, s):
+    def step(self, rhs, t, f, h, s, g):
         coeffs = self._coeffs.get(s)
         if coeffs is None:
             build = (rkl2_coefficients if self.sts_family == "rkl2"
                      else rkc2_coefficients)
             coeffs = self._coeffs[s] = build(s)
-        f_next, g_n, g_next = sts_step(rhs, t, f, h, coeffs)
-        return f_next, hermite_error(f, f_next, g_n, g_next, h)
+        f_next, g_next = sts_step(rhs, t, f, h, coeffs, g)
+        return f_next, hermite_error(f, f_next, g, g_next, h)
 
 
 class _SspMethod:
@@ -160,8 +165,8 @@ class _SspMethod:
     def stages_for(self, h, lam_eff):
         return self.scheme.s
 
-    def step(self, rhs, t, f, h, s):
-        return ssp_step(rhs, t, f, h, self.scheme)
+    def step(self, rhs, t, f, h, s, g):
+        return ssp_step(rhs, t, f, h, self.scheme, g)
 
 
 class _DirkMethod:
@@ -179,9 +184,9 @@ class _DirkMethod:
     def stages_for(self, h, lam_eff):
         return self.scheme.s
 
-    def step(self, rhs, t, f, h, s):
-        return dirk_step(rhs, t, f, h, self.scheme, self.newton, self.tol,
-                         self.norm_kind)
+    def step(self, rhs, t, f, h, s, g):
+        return dirk_step(rhs, t, f, h, self.scheme, g, self.newton,
+                         self.tol, self.norm_kind)
 
 
 METHOD_NAMES = ("rkl", "rkc", "ssp2", "ssp3", "ssp4", "dirk2", "dirk3")
@@ -252,10 +257,11 @@ class _EigTracker:
     """The one owner of lam_eff = q_lambda * |lambda|, lambda being the
     problem's analytic bound (user mode) or a power-iteration estimate.
 
-    current(t, f) forms lam_eff lazily, inside the driver's attempt, so
-    a failed estimate fails that attempt: a non-finite product raises
-    StepFailure, and an estimate that did not converge or has a positive
-    real part raises IntegrationAbort.  after_accept() marks it stale
+    current(t, f, g) forms lam_eff lazily, inside the driver's attempt,
+    with g = rhs(t, f) as the estimate's base, so a failed estimate
+    fails that attempt: a non-finite product raises StepFailure, and an
+    estimate that did not converge or has a positive real part raises
+    IntegrationAbort.  after_accept() marks it stale
     every eig.period accepted steps under the periodic policy.  A zero
     operator, and an inactive tracker (a method that needs no lambda),
     give 0.
@@ -273,9 +279,9 @@ class _EigTracker:
         if active and eig.mode == "power":
             warn_if_unsafe(eig.q_lambda, eig.power.tau)
 
-    def current(self, t, f) -> float:
+    def current(self, t, f, g) -> float:
         if self.lam_eff is None:
-            self.lam_eff = self._form(t, f)
+            self.lam_eff = self._form(t, f, g)
         return self.lam_eff
 
     def after_accept(self):
@@ -286,12 +292,12 @@ class _EigTracker:
             self.lam_eff = None
             self.since_refresh = 0
 
-    def _form(self, t, f) -> float:
+    def _form(self, t, f, g) -> float:
         eig = self.eig
         if eig.mode == "user":
             return eig.q_lambda * self.problem.lambda_user()
         self.stats.domeig_calls += 1
-        est = power_iterate(self.rhs, t, f, eig.power, self.tol)
+        est = power_iterate(self.rhs, t, f, g, eig.power, self.tol)
         self.stats.domeig_iters += est.iters
         lam = est.lambda_approx
         if not est.converged:
@@ -328,8 +334,8 @@ def _counted_rhs(problem, stats: RunStats):
     return rhs
 
 
-def _start_step(rhs, t: float, f: StateVector, order: int, norm_kind: str,
-                tol: ToleranceSpec, span: float) -> float:
+def _start_step(rhs, t: float, f: StateVector, g: StateVector, order: int,
+                norm_kind: str, tol: ToleranceSpec, span: float) -> float:
     """First step size for an order-p method: h = ||y^(p+1)(t)||_W
     ^(-1/(p+1)), where the leading local-error term reaches tolerance
     size.
@@ -341,12 +347,12 @@ def _start_step(rhs, t: float, f: StateVector, order: int, norm_kind: str,
     which puts the first step where the error grows more slowly than
     h^(p+1), so each retry from it is again too large.  At the h chosen
     here the modes that carry weight are resolved and the error grows
-    like h^(p+1).  Costs p+1 rhs calls: every product reuses the first
-    one, rhs(t, f), as its base.  Falls back to 1e-4 * span when a
-    derivative is not finite and returns span when one vanishes.
+    like h^(p+1).  Costs p rhs calls, one per product: every product
+    is taken around g = rhs(t, f), which the caller supplies.  Falls
+    back to 1e-4 * span when a derivative is not finite and returns span
+    when one vanishes.
     """
-    base = rhs(t, f).values
-    d = base
+    base = d = g.values
     for k in range(order + 1):
         nrm = wrms(norm_kind, StateVector(d, f.layout), f, tol)
         if not np.isfinite(nrm):
@@ -381,9 +387,11 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
                            active=method.family in ("sts", "ssp"))
         p = method.order
         expo = -1.0 / (p + 1.0)
+        g = None  # rhs(t, f), evaluated once per state f
         h_ctrl = controller.h0
         if h_ctrl is None:
-            h_ctrl = _start_step(rhs, 0.0, f, p, norm_kind, tol, t_f)
+            g = rhs(0.0, f)
+            h_ctrl = _start_step(rhs, 0.0, f, g, p, norm_kind, tol, t_f)
         h_min = (controller.h_min if controller.h_min is not None
                  else 1e-12 * t_f)
         t = 0.0
@@ -398,14 +406,16 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
             h_try, lands = tracker.step(t, h_ctrl)
             lam_eff, s = 0.0, 0
             stats.attempted += 1
+            if g is None:
+                g = rhs(t, f)
             try:
-                lam_eff = eigs.current(t, f)
+                lam_eff = eigs.current(t, f, g)
                 # capped after landing: a capped step does not land
                 if lam_eff and method.interval / lam_eff < h_try:
                     h_try, lands = method.interval / lam_eff, False
                 s = method.stages_for(h_try, lam_eff)
                 stats.stages_total += s
-                f_trial, err = method.step(rhs, t, f, h_try, s)
+                f_trial, err = method.step(rhs, t, f, h_try, s, g)
                 e_norm = float(wrms(norm_kind, err, f, tol))
             except StepFailure:
                 f_trial, e_norm = None, float("inf")
@@ -415,7 +425,7 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
                                            lam_eff))
             if accepted:
                 t = tracker.accept(t, h_try, lands, f_trial)
-                f = f_trial
+                f, g = f_trial, None
                 stats.accepted += 1
                 consecutive_rejects = 0
                 eigs.after_accept()
@@ -478,11 +488,12 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
             h_try, lands = tracker.step(t, h)
             lam_eff, s = 0.0, 0
             stats.attempted += 1
+            g = rhs(t, f)
             try:
-                lam_eff = eigs.current(t, f)
+                lam_eff = eigs.current(t, f, g)
                 s = method.stages_for(h_try, lam_eff)
                 stats.stages_total += s
-                f_trial, _ = method.step(rhs, t, f, h_try, s)
+                f_trial, _ = method.step(rhs, t, f, h_try, s, g)
                 blew_up = bool(not np.all(np.isfinite(f_trial.values))
                                or np.max(np.abs(f_trial.values)) > limit)
             except (StepFailure, StageCountError):

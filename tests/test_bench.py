@@ -46,6 +46,11 @@ def test_config_validation(tmp_path):
     for bad in (dict(n_v=0), dict(n_v=16.5, n_x=1)):
         with pytest.raises(ValueError, match="grid counts"):
             ExperimentConfig(**bad)
+    # a fractional seed used to build, then fail in numpy at the reference
+    for bad in (1.5, -1):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(seed=bad)
+    assert ExperimentConfig(seed=np.int64(2)).eig.power.seed == 2
     with pytest.raises(ValueError):
         ExperimentConfig(nu=-1.0)
     with pytest.raises(ValueError):

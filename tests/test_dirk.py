@@ -104,9 +104,12 @@ def test_dirk3_embedding_order3_defect():
 
 @pytest.mark.parametrize("order", [2, 3])
 def test_stiffly_accurate_with_explicit_first_stage(order):
+    # dirk_step takes stage 0's derivative from the caller's F(t_n, f_n),
+    # which needs a[0, :] = 0 and c[0] = 0; every later stage is implicit
     sch = dirk_tableau(order)
     np.testing.assert_array_equal(sch.a[-1], sch.b)
-    assert sch.a[0, 0] == 0.0
+    np.testing.assert_array_equal(sch.a[0], 0.0)
+    assert sch.c[0] == 0.0
     diag = np.diag(sch.a)[1:]
     assert np.all(diag == diag[0]) and diag[0] > 0
     assert np.max(np.abs(np.triu(sch.a, 1))) == 0.0
@@ -203,7 +206,7 @@ def test_scalar_step_matches_rational_stability_function(order):
     newton = NewtonConfig(tol=1e-7, cg_tol_factor=1e-3, max_newton=20)
     h = 0.3
     f0 = StateVector(np.array([1.0]), lay)
-    f1, err = dirk_step(rhs, 0.0, f0, h, sch, newton, tol)
+    f1, err = dirk_step(rhs, 0.0, f0, h, sch, rhs(0.0, f0), newton, tol)
     z = h * -3.7
     r = stability_function(sch, z)
     r_hat = stability_function(sch, z, sch.b_embedded)
@@ -215,7 +218,7 @@ def test_scalar_step_matches_rational_stability_function(order):
 def test_one_huge_implicit_step_contracts(order):
     lay, rhs = scalar_problem(-1e6)
     f0 = StateVector(np.array([1.0]), lay)
-    f1, _ = dirk_step(rhs, 0.0, f0, 1.0, dirk_tableau(order),
+    f1, _ = dirk_step(rhs, 0.0, f0, 1.0, dirk_tableau(order), rhs(0.0, f0),
                       NewtonConfig(), ToleranceSpec(1e-6, atol=0.0))
     assert abs(f1.values[0]) <= 1e-3
 
@@ -226,8 +229,8 @@ def fd_step(order, h, newton):
     lay = GridLayout("fd", 32, 2)
     prob = FdProblem(lay, nu=1.0)
     f0 = prob.initial_condition()
-    f1, _ = dirk_step(prob.rhs, 0.0, f0, h, dirk_tableau(order), newton,
-                      ToleranceSpec(1e-6))
+    f1, _ = dirk_step(prob.rhs, 0.0, f0, h, dirk_tableau(order),
+                      prob.rhs(0.0, f0), newton, ToleranceSpec(1e-6))
     return f0, f1
 
 
@@ -294,8 +297,8 @@ def test_quiescent_state_is_preserved_exactly():
     def rhs(t, f):
         return StateVector(np.zeros_like(f.values), f.layout)
 
-    f1, err = dirk_step(rhs, 0.0, f0, 0.5, dirk_tableau(2), NewtonConfig(),
-                        ToleranceSpec(1e-6))
+    f1, err = dirk_step(rhs, 0.0, f0, 0.5, dirk_tableau(2), rhs(0.0, f0),
+                        NewtonConfig(), ToleranceSpec(1e-6))
     np.testing.assert_array_equal(f1.values, f0.values)
     assert np.all(err.values == 0.0)
 
@@ -337,7 +340,8 @@ def test_fixed_step_convergence_on_diffusion(order, band, kind):
         h = tf / nsteps
         f, t = f0, 0.0
         for _ in range(nsteps):
-            f, _ = dirk_step(prob.rhs, t, f, h, sch, newton, tol)
+            f, _ = dirk_step(prob.rhs, t, f, h, sch, prob.rhs(t, f), newton,
+                             tol)
             t += h
         errs.append(np.max(np.abs(f.values - ref)))
     rate = np.log2(errs[-2] / errs[-1])
@@ -362,7 +366,7 @@ def test_nonlinear_decay_keeps_design_order(order):
         h = tf / nsteps
         f, t = StateVector(np.array([1.0]), lay), 0.0
         for _ in range(nsteps):
-            f, _ = dirk_step(rhs, t, f, h, sch, newton, tol)
+            f, _ = dirk_step(rhs, t, f, h, sch, rhs(t, f), newton, tol)
             t += h
         errs.append(abs(f.values[0] - exact))
     rate = np.log2(errs[-2] / errs[-1])
@@ -378,7 +382,7 @@ def test_newton_nonconvergence_raises_step_failure():
     f0 = StateVector(np.array([2.0]), lay)
     # one Newton iteration cannot solve the cubic stage equation this far
     with pytest.raises(StepFailure):
-        dirk_step(rhs, 0.0, f0, 0.5, dirk_tableau(2),
+        dirk_step(rhs, 0.0, f0, 0.5, dirk_tableau(2), rhs(0.0, f0),
                   NewtonConfig(tol=1e-8, max_newton=1), ToleranceSpec(1e-8, atol=1e-12))
 
 
@@ -387,8 +391,8 @@ def test_cg_breakdown_surfaces_as_step_failure():
     lay, rhs = scalar_problem(100.0)
     f0 = StateVector(np.array([1.0]), lay)
     with pytest.raises(StepFailure):
-        dirk_step(rhs, 0.0, f0, 1.0, dirk_tableau(2), NewtonConfig(),
-                  ToleranceSpec(1e-6, atol=0.0))
+        dirk_step(rhs, 0.0, f0, 1.0, dirk_tableau(2), rhs(0.0, f0),
+                  NewtonConfig(), ToleranceSpec(1e-6, atol=0.0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -400,8 +404,8 @@ def test_nonfinite_rhs_raises_step_failure():
 
     f0 = StateVector(np.ones(lay.n_dof), lay)
     with pytest.raises(StepFailure):
-        dirk_step(rhs, 0.0, f0, 0.1, dirk_tableau(2), NewtonConfig(),
-                  ToleranceSpec(1e-6))
+        dirk_step(rhs, 0.0, f0, 0.1, dirk_tableau(2), rhs(0.0, f0),
+                  NewtonConfig(), ToleranceSpec(1e-6))
 
 
 def test_newton_config_validation():
@@ -414,6 +418,11 @@ def test_newton_config_validation():
             NewtonConfig(tol=bad)
         with pytest.raises(ValueError, match="finite"):
             NewtonConfig(cg_tol_factor=bad)
-    # with a negative budget the stage residual would go unchecked
-    with pytest.raises(ValueError, match="max_newton"):
-        NewtonConfig(max_newton=-1)
+    # with a negative budget the stage residual would go unchecked; a
+    # fractional one used to fail only at the first solve, and a
+    # negative CG budget was accepted
+    for bad in (dict(max_newton=-1), dict(max_newton=1.5),
+                dict(max_cg=-1), dict(max_cg=2.5)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            NewtonConfig(**bad)
+    assert NewtonConfig(max_newton=np.int64(3), max_cg=np.int32(0)).max_cg == 0

@@ -44,12 +44,17 @@ class TestConfigs:
             PowerIterConfig(tau=1.0)
 
     def test_min_iters(self):
-        with pytest.raises(ValueError):
-            PowerIterConfig(max_iters=1)
+        # a fractional budget used to fail only at the first estimate
+        for bad in (1, 2.5, 100.0):
+            with pytest.raises(ValueError, match="max_iters"):
+                PowerIterConfig(max_iters=bad)
+        assert PowerIterConfig(max_iters=np.int64(2)).max_iters == 2
 
     def test_negative_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            PowerIterConfig(seed=-1)
+        for bad in (-1, 1.5, 0.0):
+            with pytest.raises(ValueError, match="seed"):
+                PowerIterConfig(seed=bad)
+        assert PowerIterConfig(seed=np.int64(3)).seed == 3
 
     def test_min_safe_q(self):
         assert min_safe_q(0.1) == pytest.approx(1.0 / 0.9, rel=1e-15)
@@ -124,7 +129,9 @@ class TestPowerIterate:
         # symmetric with spectrum {-1, -3}
         a = np.array([[-2.0, 1.0], [1.0, -2.0]])
         f = fixture_state(2)
-        est = power_iterate(matrix_rhs(a), 0.0, f, PowerIterConfig(seed=0), TOL)
+        rhs = matrix_rhs(a)
+        est = power_iterate(rhs, 0.0, f, rhs(0.0, f), PowerIterConfig(seed=0),
+                            TOL)
         assert est.converged
         assert est.lambda_approx == pytest.approx(-3.0, rel=0.1)
 
@@ -132,7 +139,8 @@ class TestPowerIterate:
         a = np.array([[-2.0, 1.0], [1.0, -2.0]])
         f = fixture_state(2)
         v0 = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        est = power_iterate(matrix_rhs(a), 0.0, f, PowerIterConfig(seed=0),
+        rhs = matrix_rhs(a)
+        est = power_iterate(rhs, 0.0, f, rhs(0.0, f), PowerIterConfig(seed=0),
                             TOL, v0=v0)
         assert est.converged
         assert est.iters <= 2
@@ -147,8 +155,9 @@ class TestPowerIterate:
         lay = GridLayout("fd", 6, 1)
         f = StateVector(rng.standard_normal(6), lay)
         cfgtau = 0.1
+        rhs = matrix_rhs(a)
         for seed in range(50):
-            est = power_iterate(matrix_rhs(a), 0.0, f,
+            est = power_iterate(rhs, 0.0, f, rhs(0.0, f),
                                 PowerIterConfig(tau=cfgtau, seed=seed), TOL)
             assert est.converged
             assert abs(est.lambda_approx + 10.0) / 10.0 < cfgtau
@@ -158,8 +167,8 @@ class TestPowerIterate:
         v0 = np.array([0.6, 0.55, 0.58])
         iters = []
         for r in (0.9, 0.7, 0.5, 0.3, 0.1):
-            a3 = np.diag([-1.0, -r, -r / 2])
-            est = power_iterate(matrix_rhs(a3), 0.0, f3,
+            rhs = matrix_rhs(np.diag([-1.0, -r, -r / 2]))
+            est = power_iterate(rhs, 0.0, f3, rhs(0.0, f3),
                                 PowerIterConfig(tau=1e-6, max_iters=200, seed=1),
                                 TOL, v0=v0)
             assert est.converged
@@ -178,14 +187,18 @@ class TestPowerIterate:
                 args.append(u.values.copy())
                 return StateVector(a3 @ u.values, u.layout)
 
-            power_iterate(rhs, 0.0, f3,
-                          PowerIterConfig(tau=1e-14, max_iters=22, seed=2),
-                          TOL)
-            # after the base call at f3, product k is evaluated at
-            # f3 + sigma_k v_k: its offset recovers the iterate's direction
+            est = power_iterate(rhs, 0.0, f3,
+                                StateVector(a3 @ f3.values, f3.layout),
+                                PowerIterConfig(tau=1e-14, max_iters=22,
+                                                seed=2),
+                                TOL)
+            # the caller supplies the base rhs(0, f3), so every call is
+            # a product: product k is evaluated at f3 + sigma_k v_k, and
+            # its offset recovers the iterate's direction
+            assert len(args) == est.iters
             e1 = np.array([1.0, 0.0, 0.0])
             hist = []
-            for u in args[1:]:
+            for u in args:
                 d = u - f3.values
                 v = d / np.linalg.norm(d)
                 hist.append(min(np.linalg.norm(v - e1),
@@ -203,7 +216,8 @@ class TestPowerIterate:
         vals = []
         for _ in range(2):
             f = StateVector(rng.uniform(0.5, 1.5, p.layout.n_dof), p.layout)
-            est = power_iterate(p.rhs, 0.0, f, PowerIterConfig(seed=3), tol)
+            est = power_iterate(p.rhs, 0.0, f, p.rhs(0.0, f),
+                                PowerIterConfig(seed=3), tol)
             assert est.converged
             vals.append(est.lambda_approx)
         assert abs(vals[0] - vals[1]) / abs(vals[0]) < 1e-8
@@ -212,8 +226,9 @@ class TestPowerIterate:
         p = DgProblem(GridLayout("dg", 16, 2), 1.0)
         f = p.initial_condition()
         tol = ToleranceSpec(1e-6, 1e-9)
-        a = power_iterate(p.rhs, 0.0, f, PowerIterConfig(seed=7), tol)
-        b = power_iterate(p.rhs, 0.0, f, PowerIterConfig(seed=7), tol)
+        g = p.rhs(0.0, f)
+        a = power_iterate(p.rhs, 0.0, f, g, PowerIterConfig(seed=7), tol)
+        b = power_iterate(p.rhs, 0.0, f, g, PowerIterConfig(seed=7), tol)
         assert a == b
 
     def test_nullspace_start_reseeds(self):
@@ -223,7 +238,8 @@ class TestPowerIterate:
         def rhs(t, u):
             return StateVector(np.zeros_like(u.values), u.layout)
         f = fixture_state(4)
-        est = power_iterate(rhs, 0.0, f, PowerIterConfig(seed=0), TOL)
+        est = power_iterate(rhs, 0.0, f, rhs(0.0, f), PowerIterConfig(seed=0),
+                            TOL)
         assert est == DomEigEstimate(0.0, 1, True)
 
     def test_nonfinite_fails(self):
@@ -233,7 +249,8 @@ class TestPowerIterate:
             return StateVector(out, u.layout)
         f = fixture_state(4)
         with pytest.raises(StepFailure):
-            power_iterate(rhs, 0.0, f, PowerIterConfig(seed=0), TOL)
+            power_iterate(rhs, 0.0, f, rhs(0.0, f), PowerIterConfig(seed=0),
+                          TOL)
 
 
 def tracked_lambda(monkeypatch, est, q_lambda):
@@ -243,7 +260,8 @@ def tracked_lambda(monkeypatch, est, q_lambda):
     prob = FdProblem(GridLayout("fd", 8, 1), nu=1.0)
     tracker = _EigTracker(prob, prob.rhs, EigPolicy(q_lambda=q_lambda), TOL,
                           RunStats(), active=True)
-    return tracker.current(0.0, prob.initial_condition())
+    f = prob.initial_condition()
+    return tracker.current(0.0, f, prob.rhs(0.0, f))
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

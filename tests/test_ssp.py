@@ -39,8 +39,8 @@ def scalar_amp(scheme, z):
     def rhs(t, u):
         return StateVector(z * u.values, u.layout)
 
-    out, _ = ssp_step(rhs, 0.0, StateVector(np.array([1.0]), LAY1), 1.0,
-                      scheme)
+    f = StateVector(np.array([1.0]), LAY1)
+    out, _ = ssp_step(rhs, 0.0, f, 1.0, scheme, rhs(0.0, f))
     return out.values[0]
 
 
@@ -116,7 +116,7 @@ class TestStep:
 
         f = StateVector(np.array([1.0, -2.0, 0.5]), lay)
         for sch in SSP_SCHEMES.values():
-            out, err = ssp_step(rhs, 0.0, f, 0.3, sch)
+            out, err = ssp_step(rhs, 0.0, f, 0.3, sch, rhs(0.0, f))
             np.testing.assert_allclose(out.values, f.values, rtol=1e-14)
             np.testing.assert_array_equal(err.values, 0.0)
 
@@ -127,6 +127,8 @@ class TestStep:
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_rhs_call_count_equals_stages(self, order):
+        # stage 1 is f_n, whose derivative the caller supplies; the step
+        # reads it, never writes it, and pays for the other s - 1 stages
         sch = ssp_scheme(order)
         calls = {"n": 0}
 
@@ -134,8 +136,11 @@ class TestStep:
             calls["n"] += 1
             return StateVector(-u.values, u.layout)
 
-        ssp_step(rhs, 0.0, StateVector(np.ones(1), LAY1), 0.1, sch)
-        assert calls["n"] == sch.s
+        f = StateVector(np.ones(1), LAY1)
+        g_n = StateVector(-f.values, LAY1)
+        ssp_step(rhs, 0.0, f, 0.1, sch, g_n)
+        assert calls["n"] == sch.s - 1
+        assert np.all(g_n.values == -1.0)
 
     def test_linear_in_time_exact_for_ssp2(self):
         lay = GridLayout("fd", 2, 1)
@@ -147,7 +152,7 @@ class TestStep:
 
         t_n, h = 0.3, 0.25
         f = StateVector(np.array([1.0, 2.0]), lay)
-        out, err = ssp_step(rhs, t_n, f, h, ssp_scheme(2))
+        out, err = ssp_step(rhs, t_n, f, h, ssp_scheme(2), rhs(t_n, f))
         want = f.values + a * h + 0.5 * b * ((t_n + h)**2 - t_n**2)
         np.testing.assert_allclose(out.values, want, rtol=1e-14)
         # the embedding is first order, so the estimate is driven purely
@@ -167,7 +172,7 @@ class TestStep:
             y = f.values + h * sum(A[i, j] * ks[j] for j in range(i))
             ks.append(p.rhs(t_n + c[i] * h, StateVector(y, p.layout)).values)
         ks = np.array(ks)
-        out, err = ssp_step(p.rhs, t_n, f, h, sch)
+        out, err = ssp_step(p.rhs, t_n, f, h, sch, p.rhs(t_n, f))
         np.testing.assert_allclose(out.values, f.values + h * (b @ ks),
                                    rtol=1e-13)
         np.testing.assert_allclose(err.values,
@@ -178,9 +183,9 @@ class TestStep:
         def rhs(t, u):
             return StateVector(np.full(1, np.nan), u.layout)
 
+        f = StateVector(np.ones(1), LAY1)
         with pytest.raises(StepFailure):
-            ssp_step(rhs, 0.0, StateVector(np.ones(1), LAY1), 0.1,
-                     ssp_scheme(3))
+            ssp_step(rhs, 0.0, f, 0.1, ssp_scheme(3), rhs(0.0, f))
 
 
 class TestStability:
@@ -214,7 +219,7 @@ class TestAccuracy:
         for order, sch in SSP_SCHEMES.items():
             errs = []
             for h in (0.4, 0.2, 0.1, 0.05, 0.025):
-                _, e = ssp_step(rhs, 0.0, f, h, sch)
+                _, e = ssp_step(rhs, 0.0, f, h, sch, rhs(0.0, f))
                 errs.append(abs(e.values[0]))
             slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(4)]
             want = sch.embedded_order + 1
@@ -234,7 +239,8 @@ class TestAccuracy:
                 h = tf / nsteps
                 f = StateVector(u0.copy(), p.layout)
                 for k in range(nsteps):
-                    f, _ = ssp_step(p.rhs, k * h, f, h, sch)
+                    f, _ = ssp_step(p.rhs, k * h, f, h, sch,
+                                    p.rhs(k * h, f))
                 errs.append(np.max(np.abs(f.values - exact)))
             orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
             for o in orders:
@@ -263,5 +269,5 @@ class TestMonotonicity:
             f = StateVector(u0.copy(), lay)
             for k in range(20):
                 prev = tv(f.values)
-                f, _ = ssp_step(rhs, k * h, f, h, sch)
+                f, _ = ssp_step(rhs, k * h, f, h, sch, rhs(k * h, f))
                 assert tv(f.values) <= prev + 1e-12

@@ -29,7 +29,7 @@ def amp_step(family, s, z):
         return StateVector(z * u.values, u.layout)
 
     f = StateVector(np.array([1.0]), LAY1)
-    f_next, _, _ = sts_step(rhs, 0.0, f, 1.0, co)
+    f_next, _ = sts_step(rhs, 0.0, f, 1.0, co, rhs(0.0, f))
     return f_next.values[0]
 
 
@@ -229,13 +229,15 @@ class TestStep:
 
         f = StateVector(np.array([1.0, -2.0, 3.0, 0.5]), lay)
         for family in ("rkl2", "rkc2"):
-            f_next, g_n, g_next = sts_step(rhs, 0.0, f, 0.3, coeffs(family, 6))
+            f_next, g_next = sts_step(rhs, 0.0, f, 0.3, coeffs(family, 6),
+                                      rhs(0.0, f))
             np.testing.assert_allclose(f_next.values, f.values, rtol=1e-13)
-            assert np.all(g_n.values == 0.0)
             assert np.all(g_next.values == 0.0)
 
     @pytest.mark.parametrize("s", [2, 3, 7, 20])
     def test_rhs_evaluation_count(self, s):
+        # the caller supplies F(t_n, f_n); the step reads it, never
+        # writes it, and pays for its s - 1 stages and F(t_n + h, f_next)
         calls = {"n": 0}
         lay = GridLayout("fd", 2, 1)
 
@@ -244,8 +246,10 @@ class TestStep:
             return StateVector(-u.values, lay)
 
         f = StateVector(np.ones(2), lay)
-        sts_step(rhs, 0.0, f, 0.1, rkl2_coefficients(s))
-        assert calls["n"] == s + 1
+        g_n = StateVector(-f.values, lay)
+        sts_step(rhs, 0.0, f, 0.1, rkl2_coefficients(s), g_n)
+        assert calls["n"] == s
+        assert np.all(g_n.values == -1.0)
 
     @pytest.mark.parametrize("family", ["rkl2", "rkc2"])
     def test_exact_on_linear_in_time_rhs(self, family):
@@ -260,7 +264,8 @@ class TestStep:
 
         t_n, h = 0.4, 0.7
         f = StateVector(np.array([1.0, 2.0]), lay)
-        f_next, _, _ = sts_step(rhs, t_n, f, h, coeffs(family, 6))
+        f_next, _ = sts_step(rhs, t_n, f, h, coeffs(family, 6),
+                             rhs(t_n, f))
         want = f.values + a * h + 0.5 * b * ((t_n + h)**2 - t_n**2)
         np.testing.assert_allclose(f_next.values, want, rtol=1e-12)
 
@@ -273,7 +278,7 @@ class TestStep:
 
         f = StateVector(np.ones(2), lay)
         with pytest.raises(StepFailure):
-            sts_step(rhs, 0.0, f, 0.1, rkl2_coefficients(4))
+            sts_step(rhs, 0.0, f, 0.1, rkl2_coefficients(4), rhs(0.0, f))
 
 
 class TestHermiteError:
@@ -304,7 +309,8 @@ class TestHermiteError:
         def rhs(t, u):
             return StateVector(lam * u.values, u.layout)
 
-        f_next, g_n, g_next = sts_step(rhs, 0.0, f_n, h, rkl2_coefficients(s))
+        g_n = rhs(0.0, f_n)
+        f_next, g_next = sts_step(rhs, 0.0, f_n, h, rkl2_coefficients(s), g_n)
         eps = hermite_error(f_n, f_next, g_n, g_next, h)
         want = (12.0 * (1.0 - r) + 6.0 * h * lam * (1.0 + r)) / 15.0
         assert eps.values[0] == pytest.approx(want, rel=1e-10)

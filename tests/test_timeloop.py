@@ -11,6 +11,7 @@ from stsdiff import (
     advance_fixed,
     make_method,
 )
+from stsdiff.bench import PROBLEMS, sample_times
 from stsdiff.errors import IntegrationAbort
 from stsdiff.integrators.sts import STAGE_CAP, stage_count
 from stsdiff.problems import DgProblem, FdProblem
@@ -324,7 +325,9 @@ def test_fixed_step_past_stage_cap_flags_blow_up_instead_of_raising():
         eig=EigPolicy(mode="user"))
     assert blew
     assert stats.attempted == 1 and stats.accepted == 0
-    assert stats.stages_total == 0 and stats.rhs_evals == 0
+    # the one call is the state's F, which the driver evaluates before
+    # the stage count; no stage is counted or run
+    assert stats.stages_total == 0 and stats.rhs_evals == 1
 
 
 @pytest.mark.parametrize("name", ["rkl", "rkc"])
@@ -363,18 +366,22 @@ def test_start_step_is_accepted_on_stiff_initial_state():
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("kind,norm", [("fd", "component"), ("dg", "cell")])
-def test_start_step_costs_p_plus_one_rhs_calls(kind, norm, order):
+def test_start_step_costs_p_rhs_calls(kind, norm, order):
     prob = (PROB if kind == "fd"
             else DgProblem(GridLayout("dg", 16, 2), nu=1.0))
     f = prob.initial_condition()
+    g = prob.rhs(0.0, f)
+    g_copy = g.values.copy()
     calls = []
 
     def rhs(t, u):
         calls.append(t)
         return prob.rhs(t, u)
 
-    h = _start_step(rhs, 0.0, f, order, norm, TOL, 1.0)
-    assert len(calls) == order + 1
+    # the caller supplies F(0, f): each of the p products costs one call
+    h = _start_step(rhs, 0.0, f, g, order, norm, TOL, 1.0)
+    assert len(calls) == order
+    np.testing.assert_array_equal(g.values, g_copy)
     # the same h as products that each evaluate their own base
     d = prob.rhs(0.0, f)
     for _ in range(order):
@@ -447,8 +454,11 @@ def test_config_validation():
         EigPolicy(mode="exact")
     with pytest.raises(ValueError):
         EigPolicy(refresh="never")
-    with pytest.raises(ValueError):
-        EigPolicy(period=0)
+    # a fractional period used to run as its ceiling
+    for bad in (0, 2.5, 3.0):
+        with pytest.raises(ValueError, match="period"):
+            EigPolicy(period=bad)
+    assert EigPolicy(period=np.int64(3)).period == 3
     with pytest.raises(ValueError):
         EigPolicy(q_lambda=0.0)
     for bad in (np.nan, np.inf):
@@ -519,3 +529,54 @@ def test_drivers_reject_nan_sample_times(times):
                          1.0, times)
     with pytest.raises(ValueError, match="sample times"):
         advance_fixed(PROB, m, 0.01, 1.0, times)
+
+
+class RepeatCounter:
+    """A problem whose rhs counts the calls at a state it was already
+    called at; everything else is the wrapped problem's."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.seen = set()
+        self.repeats = 0
+
+    def rhs(self, t, f):
+        key = f.values.tobytes()
+        self.repeats += key in self.seen
+        self.seen.add(key)
+        return self.problem.rhs(t, f)
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+
+@pytest.mark.parametrize("run", ["adaptive-h0", "adaptive-start", "fixed"])
+@pytest.mark.parametrize("kind,n_v,nu,norm", [
+    ("fd", 16, 10.0, "component"), ("dg", 8, 1.0, "cell")],
+    ids=["fd", "dg"])
+@pytest.mark.parametrize("name", ["rkl", "rkc", "ssp3", "dirk2"])
+def test_each_state_right_hand_side_is_evaluated_once(name, kind, n_v, nu,
+                                                      norm, run):
+    # the drivers evaluate F(t, f) once per state and hand it to the
+    # step, the estimate and the start step, across retries too; an STS
+    # step evaluates F at the state it ends on for its error estimate, so
+    # each accepted STS step but the last is followed by one repeat
+    t_f = 0.05
+    prob = RepeatCounter(PROBLEMS[kind](GridLayout(kind, n_v, 2), nu=nu))
+    tol = ToleranceSpec(1e-6)
+    method = make_method(name, prob, tol, norm)
+    eig = EigPolicy(q_lambda=1.2, period=3)
+    times = sample_times(t_f)
+    if run == "fixed":
+        _, stats, blew_up = advance_fixed(prob, method, t_f / 20, t_f, times,
+                                          tol=tol, eig=eig)
+        assert not blew_up
+    else:
+        h0 = 0.0025 if run == "adaptive-h0" else None
+        _, stats = advance_adaptive(prob, method, tol, norm, eig,
+                                    ControllerConfig(h0=h0), t_f, times)
+    if run == "adaptive-h0" and name in ("rkl", "rkc", "ssp3"):
+        # the path this pins: retries and estimator refreshes
+        assert stats.rejected > 0 and stats.domeig_calls > 1
+    want = stats.accepted - 1 if method.family == "sts" else 0
+    assert prob.repeats == want
