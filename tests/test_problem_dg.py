@@ -46,6 +46,20 @@ def outer_line_matrix(p):
     return -a / dv
 
 
+def scattered_blocks(p):
+    """The blocks of _assemble_blocks scattered into the dense line
+    block, left neighbour, cell and right neighbour in turn; with
+    n_v <= 2 the periodic neighbours coincide and their blocks add."""
+    n_v = p.layout.n_v
+    diag, left, right = p._assemble_blocks()
+    a = np.zeros((2 * n_v, 2 * n_v))
+    for i in range(n_v):
+        for blk, j in ((left, i - 1), (diag, i), (right, i + 1)):
+            j %= n_v
+            a[2 * i:2 * i + 2, 2 * j:2 * j + 2] += blk[i]
+    return a
+
+
 STENCIL_GRIDS = pytest.mark.parametrize("n_v", [1, 2, 3, 8, 120])
 STENCIL_FORMS = pytest.mark.parametrize(
     "modulation,penalty_c", [(0.0, 0.01), (0.0, 2.0), (0.99, 0.01),
@@ -91,6 +105,22 @@ class TestLineOperator:
         p = DgProblem(GridLayout("dg", n_v, 1), 1.0, penalty_c,
                       modulation=modulation)
         assert max_rel_gap(p.line_matrix(), outer_line_matrix(p)) <= 1e-13
+
+    @STENCIL_GRIDS
+    @STENCIL_FORMS
+    @pytest.mark.parametrize("n_x", [1, 3])
+    def test_line_matrix_is_the_scattered_blocks_exactly(self, n_v, n_x,
+                                                         modulation,
+                                                         penalty_c):
+        # each unit-vector probe meets one nonzero stencil entry, so the
+        # probed block carries the assembled blocks bit for bit
+        p = DgProblem(GridLayout("dg", n_v, n_x), 1.0, penalty_c,
+                      modulation=modulation)
+        np.testing.assert_array_equal(p.line_matrix(), scattered_blocks(p))
+
+
+SMALL_GRIDS = pytest.mark.parametrize(
+    "n_v,n_x", [(n_v, n_x) for n_v in (1, 2, 3) for n_x in (1, 3)])
 
 
 class TestRhs:
@@ -147,6 +177,31 @@ class TestRhs:
             want = p.from_lines(p.to_lines(x) @ a.T)
             got = p.rhs(0.0, StateVector(x, p.layout)).values
             assert max_rel_gap(got, want) <= 1e-13
+
+    @SMALL_GRIDS
+    def test_input_untouched(self, n_v, n_x):
+        p = bench_problem(n_v, n_x)
+        rng = np.random.default_rng(n_v * 10 + n_x)
+        x = rng.standard_normal(p.layout.n_dof)
+        before = x.copy()
+        p.rhs(0.0, StateVector(x, p.layout))
+        np.testing.assert_array_equal(x, before)
+        # sts_step passes one row of its (5, N) block of stage states
+        block = rng.standard_normal((5, p.layout.n_dof))
+        before = block.copy()
+        p.rhs(0.0, StateVector(block[2], p.layout))
+        np.testing.assert_array_equal(block, before)
+
+    @SMALL_GRIDS
+    def test_output_is_fresh_and_contiguous(self, n_v, n_x):
+        p = bench_problem(n_v, n_x)
+        block = np.random.default_rng(n_v * 10 + n_x).standard_normal(
+            (5, p.layout.n_dof))
+        for x in (block[2], block[2].copy()):
+            du = p.rhs(0.0, StateVector(x, p.layout)).values
+            assert du.flags.c_contiguous
+            assert not np.shares_memory(du, x)
+            assert not np.shares_memory(du, block)
 
     def test_line_view_round_trip(self):
         p = bench_problem(8, 3)

@@ -2,13 +2,15 @@
 
     python3 tools/battery.py
 
-Takes no options and prints one line, `<N> integrations <sha256>`.  The
-digest covers every run's samples, step log, RunStats counters, blow-up
-flag and abort message, so two checkouts that print the same line
-computed the same numbers.  To check that a change moves no number, run
-it in a checkout of the parent commit and in the change, and compare the
-two lines.  It imports stsdiff from its own checkout's src/, never from
-an installed copy.
+Takes no options and prints four lines: one per configuration,
+`<problem>/<norm> <n> integrations <sha256>`, then the total,
+`<N> integrations <sha256>`.  A digest covers every run's samples, step
+log, RunStats counters, blow-up flag and abort message, so two checkouts
+that print the same line computed the same numbers.  To check that a
+change moves no number, run it in a checkout of the parent commit and in
+the change, and compare the lines; a change to one problem shows that
+the other's line is unchanged.  It imports stsdiff from its own
+checkout's src/, never from an installed copy.
 
 The set: FD 32x4 at nu=10 with the component norm, and DG 16x2 at nu=1
 with the component and the cell norms; rkl, rkc, ssp2-4, dirk2 and
@@ -17,8 +19,9 @@ iteration (period 25, seed 0 and period 7, seed 3); adaptive runs at
 rtol 1e-3 and 1e-6, fixed-step runs at h = 0.0125, 0.0025 and 0.003, and
 one adaptive run at rtol 1e-6 from a first step of t_f/20, which every
 configuration and method rejects at least once, so that retries from a
-state are covered; t_f = 0.05 with 20 sample times.  It prints
-`306 integrations dbc86e18…` at this writing.
+state are covered; t_f = 0.05 with 20 sample times.  At this writing
+it prints `fd/component 102 integrations 1c824666…` and
+`306 integrations 207aae67…`.
 """
 
 from __future__ import annotations
@@ -101,10 +104,18 @@ def main() -> int:
     times = list(sample_times(T_F))
     points = ([("adaptive", r) for r in RTOLS]
               + [("fixed", h) for h in FIXED_H] + [("retry", RETRY_RTOL)])
-    digest = hashlib.sha256()
+    total = hashlib.sha256()
     count = 0
     warnings.simplefilter("ignore")
     for label, problem, norm in configurations():
+        # the configuration's digest sees the same bytes as the total
+        digest = hashlib.sha256()
+        config_count = 0
+
+        def update(data: bytes) -> None:
+            digest.update(data)
+            total.update(data)
+
         for name in METHODS:
             # a DIRK method forms no eigenvalue: one policy covers it
             policies = (["user"] if name.startswith("dirk")
@@ -112,25 +123,26 @@ def main() -> int:
             for pol in policies:
                 for point in points:
                     log = []
-                    digest.update(repr((label, norm, name, pol, point))
-                                  .encode())
+                    update(repr((label, norm, name, pol, point)).encode())
                     try:
                         samples, stats, blew_up = integrate(
                             problem, name, norm, POLICIES[pol], point, times,
                             log)
-                        digest.update(repr(blew_up).encode())
+                        update(repr(blew_up).encode())
                         for s in samples:
-                            digest.update(s.values.tobytes())
+                            update(s.values.tobytes())
                     except IntegrationAbort as abort:
                         stats = abort.stats
-                        digest.update(f"abort: {abort}".encode())
-                    digest.update(repr([getattr(stats, c) for c in COUNTERS])
-                                  .encode())
+                        update(f"abort: {abort}".encode())
+                    update(repr([getattr(stats, c) for c in COUNTERS])
+                           .encode())
                     for rec in log:
-                        digest.update(repr(dataclasses.astuple(rec))
-                                      .encode())
-                    count += 1
-    print(f"{count} integrations {digest.hexdigest()}")
+                        update(repr(dataclasses.astuple(rec)).encode())
+                    config_count += 1
+        print(f"{label}/{norm} {config_count} integrations "
+              f"{digest.hexdigest()}")
+        count += config_count
+    print(f"{count} integrations {total.hexdigest()}")
     return 0
 
 
