@@ -30,11 +30,10 @@ class DgProblem(LineOperator):
     modulation=0 is the uniform-coefficient test fixture.
 
     The operator is assembled face by face as (n_v, 2, 2) blocks and
-    stored as one (n_v, 6, 2) stencil that acts on the (avg, slope) dofs
-    of a cell and its two neighbours; rhs applies it as one batched
-    product over a strided three-cell window at O(N) cost.  Each
-    (x-cell, x-mode) pair is one line of the LineOperator views, with
-    the (avg, slope) dofs of every v-cell.
+    stored as the (n_v, 6, 2) LineOperator stencil that acts on the
+    (avg, slope) dofs of a cell and its two neighbours; LineOperator.rhs
+    applies it at O(N) cost.  Each (x-cell, x-mode) pair is one line of
+    the LineOperator views, with the (avg, slope) dofs of every v-cell.
     """
 
     kind = "dg"
@@ -60,10 +59,8 @@ class DgProblem(LineOperator):
         self.cell_average_d = self.cell_d_integral / dv
         # face i sits at edges[i+1], between cells i and i+1 (periodic)
         self.face_d = self.diffusivity(self.edges[1:])
-        # right-multiplying forms of L, D and R stacked for the
-        # three-cell window of rhs: rows 0-1 act on the left neighbour's
-        # (avg, slope), rows 2-3 on the cell itself, rows 4-5 on the
-        # right neighbour
+        # right-multiplying forms of L, D and R, stacked in the row
+        # order of the LineOperator stencil
         diag, left, right = self._assemble_blocks()
         self._stencil = np.concatenate(
             (left, diag, right), axis=2).transpose(0, 2, 1).copy()
@@ -97,35 +94,6 @@ class DgProblem(LineOperator):
         left = np.roll(face(jr, jl), 1, axis=0)
         right = face(jl, jr)
         return -diag / dv, -left / dv, -right / dv
-
-    def rhs(self, t: float, u: StateVector) -> StateVector:
-        """Block-tridiagonal stencil as one batched product over a
-        three-cell window.
-
-        Row (i, l) of the cell-major (n_v, 2 n_x, 2) view holds the
-        (avg, slope) dofs of v-cell i on line l and gets
-        D[i] u_i + L[i] u_(i-1) + R[i] u_(i+1).  The state is copied once
-        into a periodically padded, v-mode-major buffer pad of shape
-        (n_v + 2, 2, 2 n_x), whose row r is v-cell r - 1.  Viewed with
-        strides (2 m, 1, m) items, m = 2 n_x, as (n_v, 2 n_x, 6), column
-        2 k + b of row (i, l) is v-mode b of cell i - 1 + k on line l, so
-        one product with the (n_v, 6, 2) stencil gives the cell-major
-        result."""
-        if u.layout != self.layout:
-            raise ValueError("state layout does not match problem layout")
-        n_v, n_x = self.layout.n_v, self.layout.n_x
-        m = 2 * n_x
-        pad = np.empty((n_v + 2, 2, m))
-        pad[1:-1] = u.values.reshape(n_v, m, 2).transpose(0, 2, 1)
-        pad[0] = pad[-2]
-        pad[-1] = pad[1]
-        # a plain ndarray over pad: as_strided builds the same view
-        # through an interface object, at several times the cost
-        item = pad.itemsize
-        window = np.ndarray((n_v, m, 6), float, pad, 0,
-                            (2 * m * item, item, m * item))
-        out = window @ self._stencil
-        return StateVector(out.reshape(-1), self.layout)
 
     def initial_condition(self) -> StateVector:
         """L2 projection of the modulated Gaussian onto the v basis;

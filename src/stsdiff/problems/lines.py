@@ -1,5 +1,5 @@
-"""The problem both discretizations solve, and the dense views of a
-line-decoupled operator, all derived from its rhs.
+"""The problem both discretizations solve, its operator, and the dense
+views of that operator, all derived from one stencil.
 
 The problem, du/dt = d/dv(D(v) du/dv) on the periodic square with
 D(v) = nu (1 + modulation sin v), is stated once here: LineOperator
@@ -7,7 +7,9 @@ checks the layout kind and admits (nu, modulation) exactly when
 D(v) > 0 at every v, and `initial_profile` is the start in v, constant
 in x.  A subclass sets `kind` and `modes`, the number of dofs per cell
 along each direction (1 for FD, 2 for DG), and states its operator
-once, as its matrix-free rhs(t, u).  Both act only along v, so the
+once, as `_stencil`: per v-cell, the weights on the dofs of the cell
+and its two periodic neighbours.  LineOperator applies it as the
+matrix-free rhs(t, u).  Both operators act only along v, so the
 operator repeats one line block on every (x-cell, x-mode) line; the
 line views, the line block and the dense N x N oracle follow from rhs.
 """
@@ -28,10 +30,17 @@ def initial_profile(v):
 
 
 class LineOperator:
-    """Base of FdProblem and DgProblem: the problem and the views of rhs."""
+    """Base of FdProblem and DgProblem: the problem, rhs and its views.
+
+    A subclass builds `_stencil` at construction, shape (n_v, 3 m, m)
+    with m = modes: rows 0 to m-1 act on the v-modes of the left
+    neighbour i-1, rows m to 2m-1 on cell i itself and rows 2m to 3m-1
+    on the right neighbour i+1, periodically.
+    """
 
     kind: str
     modes: int
+    _stencil: np.ndarray
 
     def __init__(self, layout: GridLayout, nu: float, modulation: float):
         if layout.kind != self.kind:
@@ -47,6 +56,33 @@ class LineOperator:
     def diffusivity(self, v):
         """D(v) = nu (1 + modulation sin v)."""
         return self.nu * (1.0 + self.modulation * np.sin(v))
+
+    def rhs(self, t: float, u: StateVector) -> StateVector:
+        """The stencil as one batched product over a three-cell window.
+
+        With m = modes and L = m n_x lines, row (i, l) of the cell-major
+        (n_v, L, m) view holds the v-modes of v-cell i on line l.  The
+        state is copied once into a periodically padded, v-mode-major
+        buffer pad of shape (n_v + 2, m, L), whose row r is v-cell r - 1.
+        Viewed with strides (m L, 1, L) items as (n_v, L, 3 m), column
+        m k + b of row (i, l) is v-mode b of cell i - 1 + k on line l, so
+        one product with the stencil gives the cell-major result."""
+        if u.layout != self.layout:
+            raise ValueError("state layout does not match problem layout")
+        m = self.modes
+        n_v = self.layout.n_v
+        n_l = m * self.layout.n_x
+        pad = np.empty((n_v + 2, m, n_l))
+        pad[1:-1] = u.values.reshape(n_v, n_l, m).transpose(0, 2, 1)
+        pad[0] = pad[-2]
+        pad[-1] = pad[1]
+        # a plain ndarray over pad: as_strided builds the same view
+        # through an interface object, at several times the cost
+        item = pad.itemsize
+        window = np.ndarray((n_v, n_l, 3 * m), float, pad, 0,
+                            (m * n_l * item, item, n_l * item))
+        out = window @ self._stencil
+        return StateVector(out.reshape(-1), self.layout)
 
     def to_lines(self, values: np.ndarray) -> np.ndarray:
         """(m n_x, m n_v) array of a flat state with m = modes: row

@@ -30,6 +30,10 @@ class GridLayout:
     with cells enumerated v-major (cell index = i * n_x + k) and basis
     index last.  For DG the basis order is [1, psi(xi_v), psi(xi_x),
     psi(xi_v) psi(xi_x)].
+
+    Besides its fields it carries the sizes derived from them, set at
+    construction: n_b dofs per cell, n_cells cells and n_dof dofs.
+    StateVector reads n_dof on every construction.
     """
 
     kind: str
@@ -41,18 +45,11 @@ class GridLayout:
             raise ValueError(f"unknown layout kind {self.kind!r}")
         if not (is_count(self.n_v, 1) and is_count(self.n_x, 1)):
             raise ValueError("grid counts must be positive integers")
-
-    @property
-    def n_b(self) -> int:
-        return 1 if self.kind == "fd" else 4
-
-    @property
-    def n_cells(self) -> int:
-        return self.n_v * self.n_x
-
-    @property
-    def n_dof(self) -> int:
-        return self.n_cells * self.n_b
+        n_b = 1 if self.kind == "fd" else 4
+        n_cells = self.n_v * self.n_x
+        object.__setattr__(self, "n_b", n_b)
+        object.__setattr__(self, "n_cells", n_cells)
+        object.__setattr__(self, "n_dof", n_cells * n_b)
 
     @property
     def dv(self) -> float:

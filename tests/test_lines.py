@@ -6,7 +6,7 @@ import pytest
 from stsdiff.bench import PROBLEMS
 from stsdiff.problems import DgProblem, FdProblem
 from stsdiff.problems.lines import initial_profile
-from stsdiff.state import GridLayout
+from stsdiff.state import GridLayout, StateVector
 
 
 def make(kind, n_v, n_x):
@@ -55,6 +55,40 @@ def test_line_block_probes_one_column_per_line_and_call(kind, n_v, n_x,
     monkeypatch.setattr(p, "rhs", counted)
     p.line_matrix()
     assert len(seen) == calls
+
+
+SMALL_GRIDS = pytest.mark.parametrize(
+    "n_v,n_x", [(n_v, n_x) for n_v in (1, 2, 3) for n_x in (1, 3)])
+
+
+@pytest.mark.parametrize("kind", ["fd", "dg"])
+@SMALL_GRIDS
+def test_rhs_leaves_its_input_untouched(kind, n_v, n_x):
+    # at n_v <= 2 a cell's two periodic neighbours coincide
+    p = make(kind, n_v, n_x)
+    rng = np.random.default_rng(n_v * 10 + n_x)
+    x = rng.standard_normal(p.layout.n_dof)
+    before = x.copy()
+    p.rhs(0.0, StateVector(x, p.layout))
+    np.testing.assert_array_equal(x, before)
+    # sts_step passes one row of its (5, N) block of stage states
+    block = rng.standard_normal((5, p.layout.n_dof))
+    before = block.copy()
+    p.rhs(0.0, StateVector(block[2], p.layout))
+    np.testing.assert_array_equal(block, before)
+
+
+@pytest.mark.parametrize("kind", ["fd", "dg"])
+@SMALL_GRIDS
+def test_rhs_output_is_fresh_and_contiguous(kind, n_v, n_x):
+    p = make(kind, n_v, n_x)
+    block = np.random.default_rng(n_v * 10 + n_x).standard_normal(
+        (5, p.layout.n_dof))
+    for x in (block[2], block[2].copy()):
+        du = p.rhs(0.0, StateVector(x, p.layout)).values
+        assert du.flags.c_contiguous
+        assert not np.shares_memory(du, x)
+        assert not np.shares_memory(du, block)
 
 
 @pytest.mark.parametrize("kind", ["fd", "dg"])

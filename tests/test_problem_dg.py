@@ -119,10 +119,6 @@ class TestLineOperator:
         np.testing.assert_array_equal(p.line_matrix(), scattered_blocks(p))
 
 
-SMALL_GRIDS = pytest.mark.parametrize(
-    "n_v,n_x", [(n_v, n_x) for n_v in (1, 2, 3) for n_x in (1, 3)])
-
-
 class TestRhs:
     def test_global_constant_in_kernel(self):
         p = bench_problem(8, 3)
@@ -177,31 +173,6 @@ class TestRhs:
             want = p.from_lines(p.to_lines(x) @ a.T)
             got = p.rhs(0.0, StateVector(x, p.layout)).values
             assert max_rel_gap(got, want) <= 1e-13
-
-    @SMALL_GRIDS
-    def test_input_untouched(self, n_v, n_x):
-        p = bench_problem(n_v, n_x)
-        rng = np.random.default_rng(n_v * 10 + n_x)
-        x = rng.standard_normal(p.layout.n_dof)
-        before = x.copy()
-        p.rhs(0.0, StateVector(x, p.layout))
-        np.testing.assert_array_equal(x, before)
-        # sts_step passes one row of its (5, N) block of stage states
-        block = rng.standard_normal((5, p.layout.n_dof))
-        before = block.copy()
-        p.rhs(0.0, StateVector(block[2], p.layout))
-        np.testing.assert_array_equal(block, before)
-
-    @SMALL_GRIDS
-    def test_output_is_fresh_and_contiguous(self, n_v, n_x):
-        p = bench_problem(n_v, n_x)
-        block = np.random.default_rng(n_v * 10 + n_x).standard_normal(
-            (5, p.layout.n_dof))
-        for x in (block[2], block[2].copy()):
-            du = p.rhs(0.0, StateVector(x, p.layout)).values
-            assert du.flags.c_contiguous
-            assert not np.shares_memory(du, x)
-            assert not np.shares_memory(du, block)
 
     def test_line_view_round_trip(self):
         p = bench_problem(8, 3)

@@ -6,6 +6,9 @@ from stsdiff.problems.fd import FdProblem
 from stsdiff.problems.lines import initial_profile
 
 
+EPS = np.finfo(float).eps
+
+
 def uniform_problem(n_v, n_x, nu=1.0):
     # modulation 0 turns off the sinusoidal variation for hand-checkable
     # stencils
@@ -17,11 +20,21 @@ def bench_problem(n_v, n_x, nu=1.0):
 
 
 def roll_rhs(p, values):
-    """The rhs formula with rolled copies: the reference the sliced flux
-    stencil must match bit for bit."""
+    """The flux form of rhs with rolled copies: the reference the
+    stencil product is checked against."""
     g = values.reshape(p.layout.n_v, p.layout.n_x)
     flux = p.face_d[:, None] * (np.roll(g, -1, axis=0) - g)
     return ((flux - np.roll(flux, 1, axis=0)) / p.layout.dv**2).reshape(-1)
+
+
+def summed_magnitude(p, values):
+    """Entrywise sum of |stencil weight| |dof| over each point's three
+    terms: the scale of the rounding in any order of summing them."""
+    a = np.abs(values.reshape(p.layout.n_v, p.layout.n_x))
+    hi = p.face_d[:, None]
+    lo = np.roll(hi, 1, axis=0)
+    return ((lo * np.roll(a, 1, axis=0) + (lo + hi) * a
+             + hi * np.roll(a, -1, axis=0)) / p.layout.dv**2).reshape(-1)
 
 
 def loop_line_matrix(p):
@@ -47,14 +60,24 @@ class TestRhs:
     @pytest.mark.parametrize("n_v", [1, 2, 3, 8, 64, 128])
     @pytest.mark.parametrize("modulation", [0.0, 0.99])
     @pytest.mark.parametrize("n_x", [1, 3, 64])
-    def test_sliced_stencil_is_bitwise_the_rolled_formula(self, n_v, n_x,
-                                                          modulation):
+    def test_stencil_is_the_flux_form_to_four_ulps(self, n_v, n_x,
+                                                   modulation):
+        # the two forms round in different orders, so they agree to the
+        # rounding of the terms they sum, not to the bit: each is within
+        # 2 eps of their summed magnitude to first order.  An ulp here is
+        # eps times that magnitude; np.spacing of it is up to 2x smaller,
+        # depending on where it falls between powers of 2.  At n_v = 1 the
+        # single face couples the point to itself: the flux form gives
+        # exactly 0 and the product an eps-level residue
         p = FdProblem(GridLayout("fd", n_v, n_x), 1.0, modulation=modulation)
         rng = np.random.default_rng(n_v * 100 + n_x)
         for scale in (1e-100, 1.0, 1e100):
             x = scale * rng.standard_normal(p.layout.n_dof)
             got = p.rhs(0.0, StateVector(x, p.layout)).values
-            assert np.array_equal(got, roll_rhs(p, x))
+            want = roll_rhs(p, x)
+            assert n_v > 1 or not np.any(want)
+            bound = 4.0 * EPS * summed_magnitude(p, x)
+            assert np.all(np.abs(got - want) <= bound)
 
     def test_constant_in_kernel(self):
         p = bench_problem(16, 4)

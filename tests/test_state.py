@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,21 @@ class TestGridLayout:
         g = GridLayout("dg", 120, 20)
         assert g.n_b == 4
         assert g.n_dof == 120 * 20 * 4
+
+    @pytest.mark.parametrize("kind,n_b", [("fd", 1), ("dg", 4)])
+    def test_derived_sizes_are_set_once_and_are_not_fields(self, kind, n_b):
+        g = GridLayout(kind, 12, 5)
+        assert (g.n_b, g.n_cells, g.n_dof) == (n_b, 60, 60 * n_b)
+        # numpy counts give an equal layout, with an equal hash
+        h = GridLayout(kind, np.int64(12), np.int32(5))
+        assert h == g and hash(h) == hash(g)
+        assert (h.n_b, h.n_cells, h.n_dof) == (n_b, 60, 60 * n_b)
+        assert g != GridLayout(kind, 5, 12)
+        fields = [f.name for f in dataclasses.fields(g)]
+        assert fields == ["kind", "n_v", "n_x"]
+        assert repr(g) == f"GridLayout(kind={kind!r}, n_v=12, n_x=5)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.n_dof = 1
 
     def test_cell_widths(self):
         g = GridLayout("fd", 8, 4)
