@@ -1,16 +1,16 @@
-"""Adaptive and fixed-step integration drivers.
+"""One time loop, `_march`, under two step policies.
 
-The adaptive driver accepts a step when the WRMS-measured error estimate
-is at most one, controls the step size with an integral controller using
+`advance_adaptive` accepts an attempt when the WRMS norm of its error
+estimate is at most one, controls h with an integral controller using
 the order-aware exponent 1/(p+1), starts from a derivative-based step
-unless one is given, caps explicit SSP steps at their real-axis
-stability limit and STS steps at the stage cap, and tracks work
-counters. The fixed driver marches at constant h and flags blow-up
-instead of failing. Both end a step by one rule: a step of size h from
-t lands exactly on the next stop (sample time, else t_f) when
-h (1 + 1e-9) >= stop - t, so round-off in t leaves no sliver step.
+unless one is given, and caps explicit SSP steps at their real-axis
+stability limit and STS steps at the stage cap.  `advance_fixed`
+marches at constant h and flags blow-up instead of failing.  Both end a
+step by one rule: a step of size h from t lands exactly on the next stop
+(sample time, else t_f) when h (1 + 1e-9) >= stop - t, so round-off in
+t leaves no sliver step.
 
-The drivers own F(t_n, f_n): each evaluates g = rhs(t_n, f_n) once per
+The loop owns F(t_n, f_n): it evaluates g = rhs(t_n, f_n) once per
 state, at the first attempt from it (or for the start step), keeps it
 across rejected attempts and passes it to the step, to the eigenvalue
 estimate and to the start step, none of which writes into it.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,13 +87,13 @@ class RunStats:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One step attempt, logged by both drivers: one record per attempt,
-    so a step log is as long as `RunStats.attempted`.
+    """One step attempt, under either step policy: one record per
+    attempt, so a step log is as long as `RunStats.attempted`.
 
     t is the attempt's start time and h its step size.  e_norm is the
     WRMS norm of the error estimate, inf when the step failed or blew
-    up; the fixed-step driver estimates no error and logs 0 for a
-    completed step.  accepted is False for a rejected or blown-up
+    up; a fixed-step run judges an attempt by the blow-up test alone and
+    logs 0 for one that passed.  accepted is False for a rejected or blown-up
     attempt.  stages and lam_eff are 0 where none was determined.
     """
 
@@ -312,28 +311,6 @@ class _EigTracker:
         return eig.q_lambda * abs(lam)
 
 
-@contextmanager
-def _run_clock(stats: RunStats):
-    """Times a driver's run into stats.wall_clock and hands stats to an
-    IntegrationAbort that ends it, so an aborted run keeps its work."""
-    start = time.perf_counter()
-    try:
-        yield
-    except IntegrationAbort as abort:
-        abort.stats = stats
-        raise
-    finally:
-        stats.wall_clock = time.perf_counter() - start
-
-
-def _counted_rhs(problem, stats: RunStats):
-    def rhs(t, f):
-        stats.rhs_evals += 1
-        return problem.rhs(t, f)
-
-    return rhs
-
-
 def _start_step(rhs, t: float, f: StateVector, g: StateVector, order: int,
                 norm_kind: str, tol: ToleranceSpec, span: float) -> float:
     """First step size for an order-p method: h = ||y^(p+1)(t)||_W
@@ -364,39 +341,42 @@ def _start_step(rhs, t: float, f: StateVector, g: StateVector, order: int,
     return min(span, nrm ** (-1.0 / (order + 1.0)))
 
 
-def advance_adaptive(problem, method, tol: ToleranceSpec,
-                     norm_kind: str = "component",
-                     eig: EigPolicy = EigPolicy(),
-                     controller: ControllerConfig = ControllerConfig(),
-                     t_f: float = 1.0, sample_times=(),
-                     step_log=None):
-    """Integrate to t_f with error-controlled steps; returns
-    (samples, stats).  SSP and STS steps are capped at
-    method.interval / lam_eff.  Raises IntegrationAbort when the step
-    size falls below h_min, after MAX_CONSECUTIVE_REJECTIONS rejections
-    in a row, or when no eigenvalue estimate can be formed."""
-    if not 0.0 < t_f < math.inf:
-        raise ValueError("t_f must be positive and finite")
+def _march(problem, method, tol, norm_kind, eig, controller, t_f,
+           sample_times, step_log, fixed_h):
+    """The time loop; returns (samples, stats, blew_up).  fixed_h=None
+    steps adaptively; else it steps by fixed_h, uncapped, with lambda for
+    STS only, and ends at the first attempt that fails the blow-up test."""
+    adaptive = fixed_h is None
     stats = RunStats()
-    with _run_clock(stats):
-        rhs = _counted_rhs(problem, stats)
+    start = time.perf_counter()
+    try:
+        def rhs(t, f):
+            stats.rhs_evals += 1
+            return problem.rhs(t, f)
+
         f = problem.initial_condition()
         tracker = _SampleTracker(sample_times, t_f)
         tracker.record_if_hit(0.0, f)
         eigs = _EigTracker(problem, rhs, eig, tol, stats,
-                           active=method.family in ("sts", "ssp"))
+                           active=method.family == "sts"
+                           or (adaptive and method.family == "ssp"))
         p = method.order
         expo = -1.0 / (p + 1.0)
         g = None  # rhs(t, f), evaluated once per state f
-        h_ctrl = controller.h0
-        if h_ctrl is None:
-            g = rhs(0.0, f)
-            h_ctrl = _start_step(rhs, 0.0, f, g, p, norm_kind, tol, t_f)
-        h_min = (controller.h_min if controller.h_min is not None
-                 else 1e-12 * t_f)
+        if adaptive:
+            h_ctrl = controller.h0
+            if h_ctrl is None:
+                g = rhs(0.0, f)
+                h_ctrl = _start_step(rhs, 0.0, f, g, p, norm_kind, tol, t_f)
+            h_min = (controller.h_min if controller.h_min is not None
+                     else 1e-12 * t_f)
+        else:
+            h_ctrl, h_min = fixed_h, 0.0
+            limit = BLOWUP_FACTOR * float(np.max(np.abs(f.values)))
         t = 0.0
         consecutive_rejects = 0
         first_proposal = True
+        blew_up = False
 
         while t < t_f:
             if h_ctrl < h_min:
@@ -411,14 +391,19 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
             try:
                 lam_eff = eigs.current(t, f, g)
                 # capped after landing: a capped step does not land
-                if lam_eff and method.interval / lam_eff < h_try:
+                if adaptive and lam_eff and method.interval / lam_eff < h_try:
                     h_try, lands = method.interval / lam_eff, False
                 s = method.stages_for(h_try, lam_eff)
                 stats.stages_total += s
                 f_trial, err = method.step(rhs, t, f, h_try, s, g)
-                e_norm = float(wrms(norm_kind, err, f, tol))
-            except StepFailure:
-                f_trial, e_norm = None, float("inf")
+                if adaptive:
+                    e_norm = float(wrms(norm_kind, err, f, tol))
+                else:  # the blow-up test
+                    v = f_trial.values
+                    e_norm = (0.0 if np.all(np.isfinite(v))
+                              and np.max(np.abs(v)) <= limit else math.inf)
+            except (StepFailure, StageCountError):
+                f_trial, e_norm = None, math.inf
             accepted = e_norm <= 1.0
             if step_log is not None:
                 step_log.append(StepRecord(t, h_try, e_norm, accepted, s,
@@ -429,8 +414,10 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
                 stats.accepted += 1
                 consecutive_rejects = 0
                 eigs.after_accept()
+                if not adaptive:
+                    continue
                 cap = FIRST_STEP_GROWTH if first_proposal else GROWTH
-                raw = SAFETY * e_norm**expo if e_norm > 0.0 else float("inf")
+                raw = SAFETY * e_norm**expo if e_norm > 0.0 else math.inf
                 if lands and h_try <= h_ctrl:
                     # the shortened landing step says nothing about growing
                     # the working step; only shrink if its error demands it
@@ -438,6 +425,9 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
                 else:
                     # a full step, or one stretched over round-off onto a stop
                     h_ctrl = h_try * min(max(raw, SHRINK), cap)
+            elif not adaptive:
+                blew_up = True
+                break
             else:
                 stats.rejected += 1
                 consecutive_rejects += 1
@@ -451,8 +441,31 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
                     factor = SHRINK
                 h_ctrl = h_try * factor
             first_proposal = False
+    except IntegrationAbort as abort:
+        # an aborted run keeps its work
+        abort.stats = stats
+        raise
+    finally:
+        stats.wall_clock = time.perf_counter() - start
 
-    return tracker.samples, stats
+    return tracker.samples, stats, blew_up
+
+
+def advance_adaptive(problem, method, tol: ToleranceSpec,
+                     norm_kind: str = "component",
+                     eig: EigPolicy = EigPolicy(),
+                     controller: ControllerConfig = ControllerConfig(),
+                     t_f: float = 1.0, sample_times=(),
+                     step_log=None):
+    """Integrate to t_f with error-controlled steps; returns
+    (samples, stats).  SSP and STS steps are capped at
+    method.interval / lam_eff.  Raises IntegrationAbort when the step
+    size falls below h_min, after MAX_CONSECUTIVE_REJECTIONS rejections
+    in a row, or when no eigenvalue estimate can be formed."""
+    if not 0.0 < t_f < math.inf:
+        raise ValueError("t_f must be positive and finite")
+    return _march(problem, method, tol, norm_kind, eig, controller, t_f,
+                  sample_times, step_log, None)[:2]
 
 
 def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
@@ -472,41 +485,5 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
         raise ValueError("h must be positive and finite")
     if not 0.0 < t_f < math.inf:
         raise ValueError("t_f must be positive and finite")
-    stats = RunStats()
-    with _run_clock(stats):
-        rhs = _counted_rhs(problem, stats)
-        f = problem.initial_condition()
-        limit = BLOWUP_FACTOR * float(np.max(np.abs(f.values)))
-        tracker = _SampleTracker(sample_times, t_f)
-        tracker.record_if_hit(0.0, f)
-        eigs = _EigTracker(problem, rhs, eig, tol, stats,
-                           active=method.family == "sts")
-        t = 0.0
-        blew_up = False
-
-        while t < t_f:
-            h_try, lands = tracker.step(t, h)
-            lam_eff, s = 0.0, 0
-            stats.attempted += 1
-            g = rhs(t, f)
-            try:
-                lam_eff = eigs.current(t, f, g)
-                s = method.stages_for(h_try, lam_eff)
-                stats.stages_total += s
-                f_trial, _ = method.step(rhs, t, f, h_try, s, g)
-                blew_up = bool(not np.all(np.isfinite(f_trial.values))
-                               or np.max(np.abs(f_trial.values)) > limit)
-            except (StepFailure, StageCountError):
-                blew_up = True
-            if step_log is not None:
-                e_norm = float("inf") if blew_up else 0.0
-                step_log.append(StepRecord(t, h_try, e_norm, not blew_up, s,
-                                           lam_eff))
-            if blew_up:
-                break
-            t = tracker.accept(t, h_try, lands, f_trial)
-            f = f_trial
-            stats.accepted += 1
-            eigs.after_accept()
-
-    return tracker.samples, stats, blew_up
+    return _march(problem, method, tol, "component", eig, None, t_f,
+                  sample_times, step_log, h)

@@ -74,3 +74,33 @@ def test_line_block_check_catches_a_wrong_block(run, kind):
     line[0, 0] *= 1.0 + 1e-9
     reasons = run.verify_line_block(w, problem, line, seed=1)
     assert any("differs from rhs" in r for r in reasons)
+
+
+def test_each_integration_records_one_timeloop_span(run):
+    """Each driver reaches the time loop without passing through the
+    other, so the benchmark's tracer records one `timeloop.advance` span
+    per integration and its `timeloop.*` metrics count each attempt
+    once."""
+    from stsdiff import GridLayout, ToleranceSpec, timeloop
+    from stsdiff.problems import FdProblem
+
+    problem = FdProblem(GridLayout("fd", 16, 3), nu=10.0)
+    tol = ToleranceSpec(1e-3)
+    method = timeloop.make_method("rkl", problem, tol)
+    eig = timeloop.EigPolicy(mode="user")
+    tracer = run.Tracer()
+    tracer.install()
+    try:
+        for drive in (
+                lambda: timeloop.advance_adaptive(problem, method, tol,
+                                                  eig=eig, t_f=0.05),
+                lambda: timeloop.advance_fixed(problem, method, 0.0025,
+                                               0.05, eig=eig)):
+            tracer.clear()
+            stats = drive()[1]
+            assert stats.attempted > 0
+            assert tracer.names.count("timeloop.advance") == 1
+            assert tracer.kept["timeloop.advance"] == [
+                (stats.attempted, stats.rejected, stats.accepted)]
+    finally:
+        tracer.uninstall()

@@ -20,8 +20,12 @@ rtol 1e-3 and 1e-6, fixed-step runs at h = 0.0125, 0.0025 and 0.003, and
 one adaptive run at rtol 1e-6 from a first step of t_f/20, which every
 configuration and method rejects at least once, so that retries from a
 state are covered; t_f = 0.05 with 20 sample times.  At this writing
-it prints `fd/component 102 integrations 77c26824…` and
-`306 integrations 039521c8…`.
+it prints these four lines (digests cut to eight hex digits):
+
+    fd/component 102 integrations 77c26824…
+    dg/component 102 integrations 3197be2e…
+    dg/cell 102 integrations 4b74fe45…
+    306 integrations 039521c8…
 """
 
 from __future__ import annotations
