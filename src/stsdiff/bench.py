@@ -92,8 +92,8 @@ class ExperimentConfig:
         object.__setattr__(self, "eig", EigPolicy(
             mode=self.eig_mode, q_lambda=self.q_lambda,
             power=PowerIterConfig(tau=self.tau, seed=self.seed)))
-        fixed_tol = ToleranceSpec(self.rtol[0] if self.rtol else 1e-6,
-                                  self.atol)
+        # advance_fixed's default, whatever the rtol points
+        fixed_tol = ToleranceSpec(1e-6, self.atol)
         object.__setattr__(self, "points", tuple(
             [(r, ToleranceSpec(r, self.atol), None) for r in self.rtol]
             + [(h, fixed_tol, h) for h in self.fixed_h]))

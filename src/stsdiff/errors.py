@@ -1,15 +1,12 @@
-"""The package's own exception types: a failed step attempt, a stage
-count over the cap, and a run that cannot continue."""
+"""The package's own exception types: a failed step attempt, and a run
+that cannot continue."""
 
 
 class StepFailure(RuntimeError):
-    """A single step attempt produced unusable values (a non-finite
-    state or Jacobian product, or a Newton or CG solve that failed); the
-    driver should reject the attempt and retry with a smaller h."""
-
-
-class StageCountError(ValueError):
-    """The requested step would need more internal stages than the cap."""
+    """A single step attempt cannot be used (a non-finite state or
+    Jacobian product, a Newton or CG solve that failed, or a step that
+    needs more stages than the cap); the driver should reject the
+    attempt and retry with a smaller h."""
 
 
 class IntegrationAbort(RuntimeError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import StageCountError, StepFailure
+from ..errors import StepFailure
 from ..state import StateVector
 
 RKC_DAMPING = 2.0 / 13.0
@@ -146,7 +146,8 @@ def stability_interval(family: str, s: int) -> float:
 
 
 def stage_count(h: float, lambda_eff: float, family: str) -> int:
-    """Smallest s >= 2 whose stability interval covers h * lambda_eff."""
+    """Smallest s >= 2 whose stability interval covers h * lambda_eff;
+    raises StepFailure when that s exceeds STAGE_CAP."""
     if h <= 0:
         raise ValueError("step size must be positive")
     if lambda_eff < 0:
@@ -159,7 +160,7 @@ def stage_count(h: float, lambda_eff: float, family: str) -> int:
     while stability_interval(family, s) < target:
         s += 1
         if s > STAGE_CAP:
-            raise StageCountError(
+            raise StepFailure(
                 f"step needs more than {STAGE_CAP} stages "
                 f"(h*lambda = {target:.3g}); reduce the step size")
     while s > 2 and stability_interval(family, s - 1) >= target:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domeig import PowerIterConfig, _dq, power_iterate, warn_if_unsafe
-from .errors import IntegrationAbort, StageCountError, StepFailure
+from .errors import IntegrationAbort, StepFailure
 from .integrators.dirk import NewtonConfig, dirk_step, dirk_tableau
 from .integrators.ssp import ssp_scheme, ssp_step
 from .integrators.sts import (
@@ -73,12 +73,15 @@ class ControllerConfig:
 class RunStats:
     attempted: int = 0
     accepted: int = 0
-    rejected: int = 0
     rhs_evals: int = 0
     stages_total: int = 0
     domeig_calls: int = 0
     domeig_iters: int = 0
     wall_clock: float = 0.0
+
+    @property
+    def rejected(self) -> int:
+        return self.attempted - self.accepted
 
     @property
     def failure_rate(self) -> float:
@@ -87,14 +90,16 @@ class RunStats:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One step attempt, under either step policy: one record per
-    attempt, so a step log is as long as `RunStats.attempted`.
+    """One step attempt, under either step policy, counted in
+    `RunStats.attempted` where it is logged, so a step log is as long as
+    that count; an estimator abort before the step is no attempt.
 
-    t is the attempt's start time and h its step size.  e_norm is the
-    WRMS norm of the error estimate, inf when the step failed or blew
-    up; a fixed-step run judges an attempt by the blow-up test alone and
-    logs 0 for one that passed.  accepted is False for a rejected or blown-up
-    attempt.  stages and lam_eff are 0 where none was determined.
+    t (a Python float) is the attempt's start time and h its step size.
+    e_norm is the WRMS norm of the error estimate, inf when the step
+    failed or blew up; a fixed-step run judges an attempt by the blow-up
+    test alone and logs 0 for one that passed.  accepted is False for a
+    rejected or blown-up attempt, which `RunStats.rejected` counts.
+    stages and lam_eff are 0 where none was determined.
     """
 
     t: float
@@ -215,14 +220,14 @@ class _SampleTracker:
     ends at stop itself, so round-off in t leaves no sliver step."""
 
     def __init__(self, sample_times, t_f: float):
-        times = list(sample_times)
+        times = [float(x) for x in sample_times]
         if any(times[i] > times[i + 1] for i in range(len(times) - 1)):
             raise ValueError("sample times must be sorted")
         # written so that a NaN time fails it too
         if not all(0.0 <= x <= t_f for x in times):
             raise ValueError("sample times must lie within [0, t_f]")
         self.times = times
-        self.t_f = t_f
+        self.t_f = float(t_f)
         self.idx = 0
         self.samples = []
 
@@ -232,11 +237,11 @@ class _SampleTracker:
         return self.t_f
 
     def step(self, t: float, h: float):
-        """(h_try, lands) for a step of size h from t."""
+        """(h_try, lands) for a step of size h from t; h_try is a float."""
         gap = self.next_stop() - t
         if h * (1.0 + 1e-9) >= gap:
             return gap, True
-        return h, False
+        return float(h), False
 
     def accept(self, t: float, h_try: float, lands: bool,
                f: StateVector) -> float:
@@ -260,10 +265,10 @@ class _EigTracker:
     with g = rhs(t, f) as the estimate's base, so a failed estimate
     fails that attempt: a non-finite product raises StepFailure, and an
     estimate that did not converge or has a positive real part raises
-    IntegrationAbort.  after_accept() marks it stale
-    every eig.period accepted steps under the periodic policy.  A zero
-    operator, and an inactive tracker (a method that needs no lambda),
-    give 0.
+    IntegrationAbort.  after_accept() marks it stale under the periodic
+    policy whenever the run's accepted-step count is a multiple of
+    eig.period.  A zero operator, and an inactive tracker (a method
+    that needs no lambda), give 0.
     """
 
     def __init__(self, problem, rhs, eig: EigPolicy, tol, stats, active):
@@ -274,7 +279,6 @@ class _EigTracker:
         self.stats = stats
         self.active = active
         self.lam_eff = None if active else 0.0
-        self.since_refresh = 0
         if active and eig.mode == "power":
             warn_if_unsafe(eig.q_lambda, eig.power.tau)
 
@@ -284,12 +288,9 @@ class _EigTracker:
         return self.lam_eff
 
     def after_accept(self):
-        if not self.active or self.eig.refresh == "once":
-            return
-        self.since_refresh += 1
-        if self.since_refresh >= self.eig.period:
+        if (self.active and self.eig.refresh == "periodic"
+                and self.stats.accepted % self.eig.period == 0):
             self.lam_eff = None
-            self.since_refresh = 0
 
     def _form(self, t, f, g) -> float:
         eig = self.eig
@@ -385,7 +386,6 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
                     f"t={t:.6e} after {stats.attempted} attempts")
             h_try, lands = tracker.step(t, h_ctrl)
             lam_eff, s = 0.0, 0
-            stats.attempted += 1
             if g is None:
                 g = rhs(t, f)
             try:
@@ -398,13 +398,13 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
                 f_trial, err = method.step(rhs, t, f, h_try, s, g)
                 if adaptive:
                     e_norm = float(wrms(norm_kind, err, f, tol))
-                else:  # the blow-up test
-                    v = f_trial.values
-                    e_norm = (0.0 if np.all(np.isfinite(v))
-                              and np.max(np.abs(v)) <= limit else math.inf)
-            except (StepFailure, StageCountError):
+                else:  # the blow-up test; the step raised on NaN or inf
+                    e_norm = (0.0 if np.max(np.abs(f_trial.values)) <= limit
+                              else math.inf)
+            except StepFailure:
                 f_trial, e_norm = None, math.inf
             accepted = e_norm <= 1.0
+            stats.attempted += 1
             if step_log is not None:
                 step_log.append(StepRecord(t, h_try, e_norm, accepted, s,
                                            lam_eff))
@@ -429,7 +429,6 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
                 blew_up = True
                 break
             else:
-                stats.rejected += 1
                 consecutive_rejects += 1
                 if consecutive_rejects >= MAX_CONSECUTIVE_REJECTIONS:
                     raise IntegrationAbort(
@@ -477,10 +476,11 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
     (non-finite values, growth past BLOWUP_FACTOR times the initial
     max-norm, a non-finite product in the eigenvalue estimate, or a step
     that needs more than STAGE_CAP stages) stops the run early instead
-    of raising.  It raises ValueError on an h or t_f that is not positive
-    and finite, or on bad sample times, and IntegrationAbort when an STS
-    method's eigenvalue estimate did not converge or has a positive real
-    part, so that no estimate can be formed."""
+    of raising; its failed attempt counts in stats.rejected and
+    stats.failure_rate.  It raises ValueError on an h or t_f that is not
+    positive and finite, or on bad sample times, and IntegrationAbort
+    when an STS method's eigenvalue estimate did not converge or has a
+    positive real part, so that no estimate can be formed."""
     if not 0.0 < h < math.inf:
         raise ValueError("h must be positive and finite")
     if not 0.0 < t_f < math.inf:

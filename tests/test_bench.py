@@ -116,6 +116,18 @@ def test_fixed_h_past_the_sample_spacing_is_rejected(tmp_path):
                           for c in points for h in c.fixed_h)
 
 
+def test_fixed_row_tolerance_does_not_follow_rtol(tmp_path):
+    # DIRK's Newton tolerance once came from rtol[0]: this fixed-step row
+    # then took 182 rhs calls after rtol 1e-2 and 197 after rtol 1e-3
+    rows = [run_experiment(small_cfg(tmp_path, method="dirk2", n_v=16,
+                                     nu=10.0, t_f=0.1, rtol=rtol,
+                                     fixed_h=(0.005,)), write=False)[-1]
+            for rtol in ((1e-2,), (1e-3,))]
+    for row in rows:
+        del row["runtime_s"]
+    assert rows[0] == rows[1]
+
+
 def test_fingerprint_tracks_solution_fields_only(tmp_path):
     cfg = small_cfg(tmp_path)
     fp = cfg.fingerprint()

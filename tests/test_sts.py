@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stsdiff.errors import StageCountError, StepFailure
+from stsdiff.errors import StepFailure
 from stsdiff.integrators.sts import (
     RKC_DAMPING,
     _chebyshev_table,
@@ -210,7 +210,7 @@ class TestStageCount:
                     assert stability_interval(family, s - 1) < hl
 
     def test_cap(self):
-        with pytest.raises(StageCountError):
+        with pytest.raises(StepFailure, match="reduce the step size"):
             stage_count(1.0, 1e9, "rkl2")
 
     def test_input_validation(self):

@@ -15,7 +15,7 @@ from stsdiff.bench import PROBLEMS, sample_times
 from stsdiff.errors import IntegrationAbort
 from stsdiff.integrators.sts import STAGE_CAP, stage_count
 from stsdiff.problems import DgProblem, FdProblem
-from stsdiff.domeig import _dq
+from stsdiff.domeig import PowerIterConfig, _dq
 from stsdiff.state import wrms
 from stsdiff.timeloop import MAX_CONSECUTIVE_REJECTIONS, _start_step
 
@@ -260,6 +260,73 @@ def test_rejection_streak_aborts_when_h_min_disabled():
     assert stats.wall_clock > 0.0
 
 
+def _outcome(run):
+    """(stats, step log, blew_up) of run(log), an aborted run included."""
+    log = []
+    try:
+        out = run(log)
+    except IntegrationAbort as abort:
+        return abort.stats, log, False
+    return out[1], log, out[2] if len(out) == 3 else False
+
+
+FD_STIFF = FdProblem(GridLayout("fd", 32, 4), nu=10.0)
+DG_SMALL = DgProblem(GridLayout("dg", 16, 2), nu=1.0)
+OUTCOME_RUNS = {
+    "adaptive": lambda log: advance_adaptive(
+        PROB, make_method("rkl", PROB, TOL), TOL, "component", EIG,
+        ControllerConfig(), 1.0, TWENTY, step_log=log),
+    "rejected-h0": lambda log: advance_adaptive(
+        PROB, make_method("rkl", PROB, TOL), TOL, "component", EIG,
+        ControllerConfig(h0=0.5), 1.0, TWENTY, step_log=log),
+    "fixed": lambda log: advance_fixed(
+        PROB, make_method("rkl", PROB, TOL), 0.05, 1.0, TWENTY, tol=TOL,
+        eig=EIG, step_log=log),
+    "blown-up": lambda log: advance_fixed(
+        FD_STIFF, make_method("ssp2", FD_STIFF, TOL), 0.0125, 1.0,
+        sample_times(1.0), step_log=log),
+    "estimator-abort": lambda log: advance_adaptive(
+        DG_SMALL, make_method("rkl", DG_SMALL, TOL), TOL, "component",
+        EigPolicy(power=PowerIterConfig(tau=1e-9)), ControllerConfig(),
+        1.0, TWENTY, step_log=log),
+    "rejection-streak": lambda log: advance_adaptive(
+        NanProblem(), make_method("ssp2", NanProblem(), TOL), TOL,
+        "component", EIG, ControllerConfig(h_min=0.0), 1.0, [],
+        step_log=log),
+    "h_min": lambda log: advance_adaptive(
+        NanProblem(), make_method("ssp2", NanProblem(), TOL), TOL,
+        "component", EIG, ControllerConfig(), 1.0, [], step_log=log),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("kind", OUTCOME_RUNS)
+def test_every_run_logs_each_attempt_it_counts(kind):
+    stats, log, blew = _outcome(OUTCOME_RUNS[kind])
+    assert len(log) == stats.attempted == stats.accepted + stats.rejected
+    assert stats.rejected == sum(not r.accepted for r in log)
+    if kind == "blown-up":
+        assert blew and stats.failure_rate > 0.0
+    if kind == "estimator-abort":
+        assert stats.attempted == 0 and stats.domeig_calls == 1
+
+
+def test_step_log_times_are_python_floats():
+    # numpy sample times, on which most steps land, and numpy step sizes
+    times = sample_times(1.0)
+    for fixed_h in (None, np.float64(0.0125)):
+        log = []
+        method = make_method("rkl", PROB, TOL)
+        if fixed_h is None:
+            advance_adaptive(PROB, method, TOL, "component", EIG,
+                             ControllerConfig(h0=np.float64(1e-3)), 1.0,
+                             times, step_log=log)
+        else:
+            advance_fixed(PROB, method, fixed_h, 1.0, times, tol=TOL,
+                          eig=EIG, step_log=log)
+        assert {type(r.t) for r in log} == {float}
+
+
 def test_exception_types_are_defined_only_in_errors():
     import importlib
     import inspect
@@ -274,7 +341,6 @@ def test_exception_types_are_defined_only_in_errors():
                   if issubclass(cls, BaseException)
                   and cls.__module__ == mod.__name__]
     assert sorted(found) == ["stsdiff.errors.IntegrationAbort",
-                             "stsdiff.errors.StageCountError",
                              "stsdiff.errors.StepFailure"]
 
 

@@ -22,10 +22,10 @@ configuration and method rejects at least once, so that retries from a
 state are covered; t_f = 0.05 with 20 sample times.  At this writing
 it prints these four lines (digests cut to eight hex digits):
 
-    fd/component 102 integrations 77c26824…
-    dg/component 102 integrations 3197be2e…
-    dg/cell 102 integrations 4b74fe45…
-    306 integrations 039521c8…
+    fd/component 102 integrations 61b2cdc0…
+    dg/component 102 integrations ef5c8b6c…
+    dg/cell 102 integrations 98a731d2…
+    306 integrations fc62d479…
 """
 
 from __future__ import annotations
