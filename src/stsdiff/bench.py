@@ -4,26 +4,26 @@ output.
 A reference is the exact semi-discrete solution exp(A t) f0, from one
 eigendecomposition of the symmetric line block that both block-diagonal
 operators repeat on every line; it is rebuilt for every experiment.
-Each row carries the configuration fingerprint, which covers exactly the
-fields that affect the true solution.
+A row records the study, every ExperimentConfig setting it ran with, its
+rtol or fixed-step point and its results.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .domeig import PowerIterConfig
 from .errors import IntegrationAbort
 from .problems import DgProblem, FdProblem
-from .state import GridLayout, ToleranceSpec
+from .state import NORM_NAMES, GridLayout, ToleranceSpec
 from .timeloop import (
     EIG_MODES,
+    FIXED_TOL,
     EigPolicy,
     METHOD_NAMES,
     advance_adaptive,
@@ -34,14 +34,6 @@ from .timeloop import (
 N_SAMPLES = 20
 PROBLEMS = {FdProblem.kind: FdProblem, DgProblem.kind: DgProblem}
 PROBLEM_NAMES = tuple(PROBLEMS)
-NORM_NAMES = ("component", "cell")
-
-CSV_COLUMNS = [
-    "study", "method", "problem", "nu", "n_v", "n_x", "rtol_or_h", "norm",
-    "eig_mode", "q_lambda", "error_Linf20", "error_maxmax", "runtime_s",
-    "steps", "rejected", "failure_rate", "rhs_evals", "stages_total",
-    "domeig_iters", "blew_up", "status", "fingerprint",
-]
 
 
 @dataclass(frozen=True)
@@ -92,16 +84,25 @@ class ExperimentConfig:
         object.__setattr__(self, "eig", EigPolicy(
             mode=self.eig_mode, q_lambda=self.q_lambda,
             power=PowerIterConfig(tau=self.tau, seed=self.seed)))
-        # advance_fixed's default, whatever the rtol points
-        fixed_tol = ToleranceSpec(1e-6, self.atol)
+        # one tolerance for every fixed-step point, whatever the rtol
+        fixed_tol = replace(FIXED_TOL, atol=self.atol)
         object.__setattr__(self, "points", tuple(
             [(r, ToleranceSpec(r, self.atol), None) for r in self.rtol]
             + [(h, fixed_tol, h) for h in self.fixed_h]))
 
-    def fingerprint(self) -> str:
-        key = (f"problem={self.problem};nu={self.nu!r};n_v={self.n_v};"
-               f"n_x={self.n_x};t_f={self.t_f!r}")
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+# a row's settings are the config's fields, but for rtol and fixed_h,
+# whose one point the row ran is its rtol_or_h, and out
+SETTING_COLUMNS = tuple(f.name for f in fields(ExperimentConfig)
+                        if f.name not in ("rtol", "fixed_h", "out"))
+# a row's results as they stand before a run fills them; status is
+# "ok", "blew_up" (a fixed-step run) or "abort"
+RESULTS = {
+    "error_Linf20": math.nan, "error_maxmax": math.nan, "runtime_s": 0.0,
+    "steps": 0, "rejected": 0, "failure_rate": 0.0, "rhs_evals": 0,
+    "stages_total": 0, "domeig_iters": 0, "status": "ok",
+}
+CSV_COLUMNS = ["study", *SETTING_COLUMNS, "rtol_or_h", *RESULTS]
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -172,15 +173,8 @@ def error_metrics(samples, ref: ReferenceSolution):
 
 
 def _base_row(cfg: ExperimentConfig, point, study: str) -> dict:
-    return {
-        "study": study, "method": cfg.method, "problem": cfg.problem,
-        "nu": cfg.nu, "n_v": cfg.n_v, "n_x": cfg.n_x, "rtol_or_h": point,
-        "norm": cfg.norm, "eig_mode": cfg.eig_mode, "q_lambda": cfg.q_lambda,
-        "error_Linf20": math.nan, "error_maxmax": math.nan,
-        "runtime_s": 0.0, "steps": 0, "rejected": 0, "failure_rate": 0.0,
-        "rhs_evals": 0, "stages_total": 0, "domeig_iters": 0,
-        "blew_up": False, "status": "ok", "fingerprint": cfg.fingerprint(),
-    }
+    return {"study": study, **{c: getattr(cfg, c) for c in SETTING_COLUMNS},
+            "rtol_or_h": point, **RESULTS}
 
 
 def _fill_row(row: dict, stats, samples, ref: ReferenceSolution):
@@ -210,9 +204,11 @@ def run_experiment(cfg: ExperimentConfig, study: str = "",
                     problem, method, tol, cfg.norm, cfg.eig, t_f=cfg.t_f,
                     sample_times=times)
             else:
-                samples, stats, row["blew_up"] = advance_fixed(
+                samples, stats, blew_up = advance_fixed(
                     problem, method, h, cfg.t_f, times, tol=tol, eig=cfg.eig)
-            _fill_row(row, stats, None if row["blew_up"] else samples, ref)
+                if blew_up:
+                    row["status"], samples = "blew_up", None
+            _fill_row(row, stats, samples, ref)
         except IntegrationAbort as abort:
             row["status"] = "abort"
             if abort.stats is not None:
@@ -229,8 +225,6 @@ def _fmt(col: str, val) -> str:
         return f"{val:.6e}"
     if col in ("runtime_s", "failure_rate"):
         return f"{val:.6f}"
-    if isinstance(val, bool):
-        return "true" if val else "false"
     return str(val)
 
 

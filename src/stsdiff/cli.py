@@ -11,13 +11,13 @@ from dataclasses import fields
 import yaml
 
 from .bench import (
-    NORM_NAMES,
     PROBLEM_NAMES,
     STUDY_NAMES,
     ExperimentConfig,
     run_experiment,
     study,
 )
+from .state import NORM_NAMES
 from .timeloop import EIG_MODES
 
 # one flag per ExperimentConfig field, spelled as the field but for
@@ -35,13 +35,12 @@ def _flag_fields() -> dict:
             for f in fields(ExperimentConfig)}
 
 
-def _float_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(x) for x in text)
-    if isinstance(text, (int, float)):
-        return (float(text),)
-    parts = [p for p in str(text).split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
+def _float_list(val) -> tuple:
+    # each entry is parsed from its text, as a flag's would be, so that a
+    # YAML bool, which Python counts as an int, is refused
+    parts = (val if isinstance(val, (list, tuple))
+             else [p for p in str(val).split(",") if p.strip()])
+    return tuple(float(str(x)) for x in parts)
 
 
 def _add_flags(sub: argparse.ArgumentParser) -> None:

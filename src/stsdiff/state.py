@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+NORM_NAMES = ("component", "cell")
 
 
 def is_count(n, least: int) -> bool:
@@ -54,10 +55,6 @@ class GridLayout:
     @property
     def dv(self) -> float:
         return TWO_PI / self.n_v
-
-    @property
-    def dx(self) -> float:
-        return TWO_PI / self.n_x
 
 
 @dataclass
@@ -110,7 +107,7 @@ def wrms(kind: str, err: StateVector, ref: StateVector, tol: ToleranceSpec) -> f
     cell's overall scale rather than their own magnitude.  The weights
     come from ref, the step's starting state, never the trial solution.
     """
-    if kind not in ("component", "cell"):
+    if kind not in NORM_NAMES:
         raise ValueError(f"unknown norm kind {kind!r}")
     if err.layout != ref.layout:
         raise ValueError("err and ref must share a layout")

@@ -41,6 +41,8 @@ from .state import StateVector, ToleranceSpec, is_count, wrms
 
 BLOWUP_FACTOR = 1e10
 MAX_CONSECUTIVE_REJECTIONS = 10
+# an adaptive run aborts when its step falls below H_MIN * t_f
+H_MIN = 1e-12
 # step-size controller: safety factor on the optimal step, cap on the
 # growth per step (looser when the first attempt is accepted, since its
 # step came from a derivative estimate, not a measured error) and the
@@ -51,22 +53,20 @@ FIRST_STEP_GROWTH = 20.0
 SHRINK = 0.1
 # sources of lambda: the problem's analytic bound, or power iteration
 EIG_MODES = ("user", "power")
+# a fixed-step run's tolerance, for DIRK's Newton solve and the
+# eigenvalue estimate
+FIXED_TOL = ToleranceSpec(1e-6)
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """h0 fixes the first step in place of the derivative-based start;
-    h_min is the step below which a run aborts (1e-12 * t_f if None, and
-    0 switches the guard off)."""
+    """h0 fixes the first step in place of the derivative-based start."""
 
     h0: float | None = None
-    h_min: float | None = None
 
     def __post_init__(self):
         if self.h0 is not None and not 0.0 < self.h0 < math.inf:
             raise ValueError("h0 must be None or positive and finite")
-        if self.h_min is not None and not 0.0 <= self.h_min < math.inf:
-            raise ValueError("h_min must be None or non-negative and finite")
 
 
 @dataclass
@@ -369,8 +369,7 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
             if h_ctrl is None:
                 g = rhs(0.0, f)
                 h_ctrl = _start_step(rhs, 0.0, f, g, p, norm_kind, tol, t_f)
-            h_min = (controller.h_min if controller.h_min is not None
-                     else 1e-12 * t_f)
+            h_min = H_MIN * t_f
         else:
             h_ctrl, h_min = fixed_h, 0.0
             limit = BLOWUP_FACTOR * float(np.max(np.abs(f.values)))
@@ -416,15 +415,6 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
                 eigs.after_accept()
                 if not adaptive:
                     continue
-                cap = FIRST_STEP_GROWTH if first_proposal else GROWTH
-                raw = SAFETY * e_norm**expo if e_norm > 0.0 else math.inf
-                if lands and h_try <= h_ctrl:
-                    # the shortened landing step says nothing about growing
-                    # the working step; only shrink if its error demands it
-                    h_ctrl = min(h_ctrl, h_try * max(raw, SHRINK))
-                else:
-                    # a full step, or one stretched over round-off onto a stop
-                    h_ctrl = h_try * min(max(raw, SHRINK), cap)
             elif not adaptive:
                 blew_up = True
                 break
@@ -434,11 +424,23 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
                     raise IntegrationAbort(
                         f"{consecutive_rejects} consecutive rejections at "
                         f"t={t:.6e} (h={h_try:.3e}, E={e_norm:.3e})")
-                if np.isfinite(e_norm):
-                    factor = max(SHRINK, SAFETY * e_norm**expo)
-                else:
-                    factor = SHRINK
-                h_ctrl = h_try * factor
+            # the controller's factor: unbounded at a zero error, SHRINK
+            # for a failed attempt, and at most SAFETY on a rejection
+            if e_norm == 0.0:
+                factor = math.inf
+            elif math.isfinite(e_norm):
+                factor = max(SHRINK, SAFETY * e_norm**expo)
+            else:
+                factor = SHRINK
+            if accepted and lands and h_try <= h_ctrl:
+                # the shortened landing step says nothing about growing
+                # the working step; only shrink if its error demands it
+                h_ctrl = min(h_ctrl, h_try * factor)
+            else:
+                # a full or rejected step, or one stretched over round-off
+                # onto a stop; a rejection's factor is under any cap
+                cap = FIRST_STEP_GROWTH if first_proposal else GROWTH
+                h_ctrl = h_try * min(factor, cap)
             first_proposal = False
     except IntegrationAbort as abort:
         # an aborted run keeps its work
@@ -459,8 +461,8 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
     """Integrate to t_f with error-controlled steps; returns
     (samples, stats).  SSP and STS steps are capped at
     method.interval / lam_eff.  Raises IntegrationAbort when the step
-    size falls below h_min, after MAX_CONSECUTIVE_REJECTIONS rejections
-    in a row, or when no eigenvalue estimate can be formed."""
+    size falls below H_MIN * t_f, after MAX_CONSECUTIVE_REJECTIONS
+    rejections in a row, or when no eigenvalue estimate can be formed."""
     if not 0.0 < t_f < math.inf:
         raise ValueError("t_f must be positive and finite")
     return _march(problem, method, tol, norm_kind, eig, controller, t_f,
@@ -468,7 +470,7 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
 
 
 def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
-                  tol: ToleranceSpec = ToleranceSpec(1e-6),
+                  tol: ToleranceSpec = FIXED_TOL,
                   eig: EigPolicy = EigPolicy(),
                   step_log=None):
     """March at constant h, cut to end on each stop (sample time, else

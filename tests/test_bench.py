@@ -1,6 +1,7 @@
 import argparse
+import csv
 import math
-from dataclasses import replace
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from stsdiff.bench import (
     CSV_COLUMNS,
     FIXED_H_GRID,
     N_SAMPLES,
+    SETTING_COLUMNS,
     ExperimentConfig,
     ReferenceSolution,
     _expm_reference,
@@ -97,7 +99,7 @@ def test_fixed_run_ends_at_t_f_without_a_sliver_step(tmp_path, method):
     [row] = run_experiment(small_cfg(tmp_path, method=method, n_v=16,
                                      rtol=(), t_f=t_f, fixed_h=(t_f / 40,),
                                      eig_mode="user"), write=False)
-    assert row["status"] == "ok" and not row["blew_up"]
+    assert row["status"] == "ok"
     assert (row["steps"], row["rejected"]) == (40, 0)
 
 
@@ -128,14 +130,38 @@ def test_fixed_row_tolerance_does_not_follow_rtol(tmp_path):
     assert rows[0] == rows[1]
 
 
-def test_fingerprint_tracks_solution_fields_only(tmp_path):
-    cfg = small_cfg(tmp_path)
-    fp = cfg.fingerprint()
-    assert replace(cfg, method="rkc", rtol=(1e-6,), norm="cell",
-                   q_lambda=1.5, seed=7).fingerprint() == fp
-    for change in (dict(nu=2.0), dict(n_v=16), dict(n_x=2), dict(t_f=0.5),
-                   dict(problem="dg")):
-        assert replace(cfg, **change).fingerprint() != fp
+def test_every_setting_is_a_column():
+    # rtol_or_h stands for the row's rtol or fixed_h point; out is where
+    # the rows go
+    settings = {f.name for f in fields(ExperimentConfig)}
+    assert set(SETTING_COLUMNS) == settings - {"rtol", "fixed_h", "out"}
+    assert set(SETTING_COLUMNS) | {"study", "rtol_or_h"} <= set(CSV_COLUMNS)
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_csv_rows_rerun_from_their_own_columns(tmp_path):
+    # an adaptive row, a fixed row and a blown-up one, at settings off
+    # their defaults; each reruns to itself from its own CSV text
+    cfg = small_cfg(tmp_path, method="ssp2", nu=10.0, n_x=2, atol=1e-9,
+                    tau=0.05, t_f=0.25, seed=3, rtol=(1e-3,),
+                    fixed_h=(2.5e-4, 0.0125))
+    run_experiment(cfg)
+    rows = _read_csv(cfg.out)
+    assert [r["status"] for r in rows] == ["ok", "ok", "blew_up"]
+    types = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+    for kind, row in zip(("rtol", "fixed_h", "fixed_h"), rows):
+        settings = {c: types[c](row[c]) for c in SETTING_COLUMNS}
+        point = {"rtol": (), "fixed_h": (), kind: (float(row["rtol_or_h"]),)}
+        again = ExperimentConfig(**settings, **point,
+                                 out=str(tmp_path / "again.csv"))
+        run_experiment(again)
+        [row_again] = _read_csv(again.out)
+        del row["runtime_s"], row_again["runtime_s"]
+        assert row_again == row
 
 
 def _mass(problem, vals):
@@ -272,8 +298,7 @@ def test_fixed_step_sweep_marks_blow_up(tmp_path):
     cfg = small_cfg(tmp_path, method="ssp2", n_v=64, rtol=(),
                     fixed_h=(5e-2, 1e-2, 2e-3, 2e-4))
     rows = run_experiment(cfg)
-    blew = [r["blew_up"] for r in rows]
-    assert blew == [True, True, False, False]
+    assert [r["status"] for r in rows] == ["blew_up", "blew_up", "ok", "ok"]
     assert all(np.isnan(r["error_Linf20"]) for r in rows[:2])
     ratio = rows[2]["error_Linf20"] / rows[3]["error_Linf20"]
     assert 50 < ratio < 200
@@ -316,7 +341,7 @@ def test_steps_past_stage_cap_still_return_rows(tmp_path):
     cfg = small_cfg(tmp_path, problem="dg", n_v=16, n_x=1, nu=1e7, rtol=(),
                     fixed_h=(0.025, 0.05), eig_mode="user")
     rows = run_experiment(cfg)
-    assert [r["blew_up"] for r in rows] == [True, True]
+    assert [r["status"] for r in rows] == ["blew_up", "blew_up"]
     assert all(np.isnan(r["error_Linf20"]) for r in rows)
     assert len(open(cfg.out, encoding="utf-8").read().splitlines()) == 3
 
@@ -329,9 +354,10 @@ def test_csv_schema_and_formatting(tmp_path):
     fields = lines[1].split(",")
     row = dict(zip(CSV_COLUMNS, fields))
     assert "e" in row["error_Linf20"]
-    assert row["blew_up"] == "false"
-    assert row["fingerprint"] == cfg.fingerprint()
+    assert row["status"] == "ok"
     assert row["method"] == "rkl"
+    assert (row["atol"], row["tau"], row["t_f"], row["seed"]) == (
+        "1e-11", "0.1", "1.0", "0")
 
 
 def test_study_expansion_grids(tmp_path):

@@ -178,9 +178,13 @@ def test_yaml_values_are_parsed_like_flag_text(tmp_path, capsys):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 2
 
 
+# a YAML bool is an int to Python, but its text is no number, as
+# `--rtol true` is none
 @pytest.mark.parametrize("yaml_text,flags", [
-    ("nv: 16.5\n", []), ("", ["--nv", "abc"]), ("tf: abc\n", [])],
-    ids=["yaml-nv", "flag-nv", "yaml-tf"])
+    ("nv: 16.5\n", []), ("", ["--nv", "abc"]), ("tf: abc\n", []),
+    ("rtol: true\n", []), ("rtol: [true]\n", [])],
+    ids=["yaml-nv", "flag-nv", "yaml-tf", "yaml-rtol-bool",
+         "yaml-rtol-bool-list"])
 def test_bad_value_exits_2_from_yaml_or_flag(tmp_path, capsys, yaml_text,
                                              flags):
     cfgfile = tmp_path / "cfg.yaml"

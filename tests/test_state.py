@@ -46,7 +46,6 @@ class TestGridLayout:
     def test_cell_widths(self):
         g = GridLayout("fd", 8, 4)
         assert g.dv == pytest.approx(2 * np.pi / 8)
-        assert g.dx == pytest.approx(2 * np.pi / 4)
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):

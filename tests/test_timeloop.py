@@ -246,11 +246,12 @@ def test_persistent_nonfinite_states_abort_with_diagnostics():
                          TOL, "component", EIG, ControllerConfig(), 1.0, [])
 
 
-def test_rejection_streak_aborts_when_h_min_disabled():
+def test_rejection_streak_aborts_from_a_large_first_step():
+    # from h0 = 1 the tenth rejection comes before h falls below h_min
     log = []
     with pytest.raises(IntegrationAbort, match="consecutive") as exc:
         advance_adaptive(NanProblem(), make_method("ssp2", NanProblem(), TOL),
-                         TOL, "component", EIG, ControllerConfig(h_min=0.0),
+                         TOL, "component", EIG, ControllerConfig(h0=1.0),
                          1.0, [], step_log=log)
     # the abort carries the run's counters up to it
     stats = exc.value.stats
@@ -291,11 +292,10 @@ OUTCOME_RUNS = {
         1.0, TWENTY, step_log=log),
     "rejection-streak": lambda log: advance_adaptive(
         NanProblem(), make_method("ssp2", NanProblem(), TOL), TOL,
-        "component", EIG, ControllerConfig(h_min=0.0), 1.0, [],
-        step_log=log),
+        "component", EIG, ControllerConfig(h0=1.0), 1.0, [], step_log=log),
     "h_min": lambda log: advance_adaptive(
         NanProblem(), make_method("ssp2", NanProblem(), TOL), TOL,
-        "component", EIG, ControllerConfig(), 1.0, [], step_log=log),
+        "component", EIG, ControllerConfig(h0=1e-11), 1.0, [], step_log=log),
 }
 
 
@@ -361,14 +361,15 @@ def test_stabilized_zero_rhs_grows_step_at_two_stages(name):
 
 
 @pytest.mark.parametrize("name", ["rkl", "rkc"])
-@pytest.mark.parametrize("h_min, match", [(None, "h_min"),
-                                          (0.0, "consecutive")])
-def test_stabilized_nonfinite_states_abort_with_diagnostics(name, h_min,
-                                                            match):
+@pytest.mark.parametrize("h0, match", [(1e-11, "h_min"),
+                                       (1.0, "consecutive")])
+def test_stabilized_nonfinite_states_abort_with_diagnostics(name, h0, match):
+    # h_min is 1e-12 t_f: two rejections from h0 = 1e-11 reach it, ten
+    # from h0 = 1 do not
     with pytest.raises(IntegrationAbort, match=match):
         advance_adaptive(NanProblem(), make_method(name, NanProblem(), TOL),
-                         TOL, "component", EIG,
-                         ControllerConfig(h_min=h_min), 1.0, [])
+                         TOL, "component", EIG, ControllerConfig(h0=h0), 1.0,
+                         [])
 
 
 @pytest.mark.parametrize("norm", ["component", "cell"])
@@ -533,18 +534,10 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(h0=np.nan), dict(h0=np.inf), dict(h0=0.0), dict(h0=-1.0),
-    dict(h0=-1.0, h_min=np.nan), dict(h_min=-1.0), dict(h_min=np.nan),
-    dict(h_min=np.inf)])
+    dict(h0=np.nan), dict(h0=np.inf), dict(h0=0.0), dict(h0=-1.0)])
 def test_controller_config_rejects_bad_steps(bad):
-    # the first field named in bad is the one rejected
-    with pytest.raises(ValueError, match=next(iter(bad))):
+    with pytest.raises(ValueError, match="h0"):
         ControllerConfig(**bad)
-
-
-def test_controller_config_accepts_zero_h_min():
-    # h_min = 0 switches the h_min guard off
-    assert ControllerConfig(h0=1e-3, h_min=0.0).h_min == 0.0
 
 
 def test_method_factory_rejects_bad_requests():

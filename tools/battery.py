@@ -2,15 +2,18 @@
 
     python3 tools/battery.py
 
-Takes no options and prints four lines: one per configuration,
+Takes no options and prints five lines: one per configuration,
 `<problem>/<norm> <n> integrations <sha256>`, then the total,
-`<N> integrations <sha256>`.  A digest covers every run's samples, step
-log, RunStats counters, blow-up flag and abort message, so two checkouts
-that print the same line computed the same numbers.  To check that a
-change moves no number, run it in a checkout of the parent commit and in
-the change, and compare the lines; a change to one problem shows that
-the other's line is unchanged.  It imports stsdiff from its own
-checkout's src/, never from an installed copy.
+`<N> integrations <sha256>`, then `<M> rows <sha256>` over the CSV rows
+of a few experiments.  An integration digest covers every run's
+samples, step log, RunStats counters, blow-up flag and abort message,
+and the rows digest covers the rows' result columns (errors, counters
+and status) but not runtime_s, so two checkouts that print the same
+line computed the same numbers.  To check that a change moves no
+number, run it in a checkout of the parent commit and in the change, and
+compare the lines; a change to one problem shows that the other's line
+is unchanged.  It imports stsdiff from its own checkout's src/, never
+from an installed copy.
 
 The set: FD 32x4 at nu=10 with the component norm, and DG 16x2 at nu=1
 with the component and the cell norms; rkl, rkc, ssp2-4, dirk2 and
@@ -19,13 +22,17 @@ iteration (period 25, seed 0 and period 7, seed 3); adaptive runs at
 rtol 1e-3 and 1e-6, fixed-step runs at h = 0.0125, 0.0025 and 0.003, and
 one adaptive run at rtol 1e-6 from a first step of t_f/20, which every
 configuration and method rejects at least once, so that retries from a
-state are covered; t_f = 0.05 with 20 sample times.  At this writing
-it prints these four lines (digests cut to eight hex digits):
+state are covered; t_f = 0.05 with 20 sample times.  The rows come
+from `run_experiment` on both problems: adaptive rows, a fixed-step row,
+a fixed-step row that blows up and one whose eigenvalue estimate aborts.
+At this writing it prints these five lines (digests cut to eight hex
+digits):
 
     fd/component 102 integrations 61b2cdc0…
     dg/component 102 integrations ef5c8b6c…
     dg/cell 102 integrations 98a731d2…
     306 integrations fc62d479…
+    6 rows 17fe2f44…
 """
 
 from __future__ import annotations
@@ -55,15 +62,20 @@ from stsdiff import (  # noqa: E402
     advance_fixed,
     make_method,
 )
-from stsdiff.bench import sample_times  # noqa: E402
+from stsdiff.bench import (  # noqa: E402
+    RESULTS,
+    ExperimentConfig,
+    run_experiment,
+    sample_times,
+)
 from stsdiff.domeig import PowerIterConfig  # noqa: E402
 from stsdiff.errors import IntegrationAbort  # noqa: E402
 from stsdiff.problems import DgProblem, FdProblem  # noqa: E402
+from stsdiff.timeloop import FIXED_TOL  # noqa: E402
 
 T_F = 0.05
 RTOLS = (1e-3, 1e-6)
 FIXED_H = (0.0125, 0.0025, 0.003)
-FIXED_TOL = ToleranceSpec(1e-6)
 RETRY_RTOL = 1e-6
 RETRY_START = ControllerConfig(h0=T_F / 20)
 METHODS = ("rkl", "rkc", "ssp2", "ssp3", "ssp4", "dirk2", "dirk3")
@@ -76,6 +88,17 @@ POLICIES = {
 }
 COUNTERS = ("attempted", "accepted", "rejected", "rhs_evals", "stages_total",
             "domeig_calls", "domeig_iters")
+# FD: an adaptive row and a blown-up fixed row, whose t_f lets h = 0.0125
+# fit the sample spacing; DG: adaptive rows in the cell norm, a fixed
+# row, and a row whose estimate does not converge at tau = 1e-9
+ROW_CONFIGS = (
+    ExperimentConfig("fd", "ssp2", 10.0, 32, 4, rtol=(1e-3,), t_f=0.25,
+                     fixed_h=(0.0125,)),
+    ExperimentConfig("dg", "rkl", 1.0, 16, 2, rtol=(1e-3, 1e-6),
+                     norm="cell", t_f=T_F, fixed_h=(0.0025,)),
+    ExperimentConfig("dg", "rkl", 1.0, 16, 2, tau=1e-9, t_f=T_F),
+)
+ROW_RESULTS = [c for c in RESULTS if c != "runtime_s"]
 
 
 def configurations():
@@ -147,6 +170,11 @@ def main() -> int:
               f"{digest.hexdigest()}")
         count += config_count
     print(f"{count} integrations {total.hexdigest()}")
+    rows = [row for cfg in ROW_CONFIGS
+            for row in run_experiment(cfg, write=False)]
+    digest = hashlib.sha256(repr([[(c, row[c]) for c in ROW_RESULTS]
+                                  for row in rows]).encode())
+    print(f"{len(rows)} rows {digest.hexdigest()}")
     return 0
 
 
