@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from stsdiff.integrators.sts import STAGE_CAP, stage_count
 from stsdiff.problems import DgProblem, FdProblem
 from stsdiff.domeig import PowerIterConfig, _dq
 from stsdiff.state import wrms
-from stsdiff.timeloop import MAX_CONSECUTIVE_REJECTIONS, _start_step
+from stsdiff.timeloop import (H_MIN, MAX_CONSECUTIVE_REJECTIONS, SAFETY,
+                              SHRINK, _start_step)
 
 LAY = GridLayout("fd", 64, 1)
 PROB = FdProblem(LAY, nu=1.0)
@@ -259,6 +262,36 @@ def test_rejection_streak_aborts_from_a_large_first_step():
         == MAX_CONSECUTIVE_REJECTIONS
     assert stats.rhs_evals > 0
     assert stats.wall_clock > 0.0
+    # each failed attempt cuts the step by SHRINK
+    assert [b.h / a.h for a, b in zip(log, log[1:])] == pytest.approx(
+        [SHRINK] * (len(log) - 1))
+
+
+@pytest.mark.parametrize("t_f", [1.0, 100.0])
+def test_h_min_is_a_fixed_fraction_of_t_f(t_f):
+    # every attempt fails on NaN states and cuts h by SHRINK: from
+    # h0 = 20 H_MIN t_f the second cut falls below H_MIN t_f
+    log = []
+    h_min = H_MIN * t_f
+    with pytest.raises(IntegrationAbort,
+                       match=re.escape(f"below h_min {h_min:.3e}")):
+        advance_adaptive(NanProblem(), make_method("ssp2", NanProblem(), TOL),
+                         TOL, "component", EIG,
+                         ControllerConfig(h0=20 * h_min), t_f, [],
+                         step_log=log)
+    assert [r.h for r in log] == pytest.approx([20 * h_min, 2 * h_min])
+
+
+def test_a_rejected_step_is_retried_at_most_safety_times_as_long():
+    # h0 = 0.5 overshoots the tolerance, so the run starts with
+    # rejections at finite errors; the retry may only be stretched over
+    # round-off onto a stop
+    log = []
+    advance_adaptive(PROB, make_method("rkl", PROB, TOL), TOL, "component",
+                     EIG, ControllerConfig(h0=0.5), 1.0, TWENTY, step_log=log)
+    retried = [(a, b) for a, b in zip(log, log[1:]) if not a.accepted]
+    assert retried and all(np.isfinite(a.e_norm) for a, _ in retried)
+    assert all(b.h <= SAFETY * a.h * (1 + 1e-9) for a, b in retried)
 
 
 def _outcome(run):
