@@ -4,8 +4,8 @@ output.
 A reference is the exact semi-discrete solution exp(A t) f0, from one
 eigendecomposition of the symmetric line block that both block-diagonal
 operators repeat on every line; it is rebuilt for every experiment.
-A row records the study, every ExperimentConfig setting it ran with, its
-rtol or fixed-step point and its results.
+A row records the study, every ExperimentConfig setting it ran with (of
+rtol and fixed_h, only the one point it ran) and its results.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ class ExperimentConfig:
     """One experiment.  Besides its fields it carries the settings its
     integrations use, built at construction so that their own rules
     reject a bad value before any integration runs: layout, the
-    GridLayout, eig, the EigPolicy, and points, one (rtol_or_h,
-    ToleranceSpec, fixed h or None) per rtol point and then per fixed_h
-    point."""
+    GridLayout, eig, the EigPolicy, and points, one (ToleranceSpec, fixed
+    h or None) per rtol point and then per fixed_h point."""
 
     problem: str = "fd"
     method: str = "rkl"
@@ -87,14 +86,13 @@ class ExperimentConfig:
         # one tolerance for every fixed-step point, whatever the rtol
         fixed_tol = replace(FIXED_TOL, atol=self.atol)
         object.__setattr__(self, "points", tuple(
-            [(r, ToleranceSpec(r, self.atol), None) for r in self.rtol]
-            + [(h, fixed_tol, h) for h in self.fixed_h]))
+            [(ToleranceSpec(r, self.atol), None) for r in self.rtol]
+            + [(fixed_tol, h) for h in self.fixed_h]))
 
 
-# a row's settings are the config's fields, but for rtol and fixed_h,
-# whose one point the row ran is its rtol_or_h, and out
+# a row's settings are the config's fields but out, where the rows go
 SETTING_COLUMNS = tuple(f.name for f in fields(ExperimentConfig)
-                        if f.name not in ("rtol", "fixed_h", "out"))
+                        if f.name != "out")
 # a row's results as they stand before a run fills them; status is
 # "ok", "blew_up" (a fixed-step run) or "abort"
 RESULTS = {
@@ -102,7 +100,7 @@ RESULTS = {
     "steps": 0, "rejected": 0, "failure_rate": 0.0, "rhs_evals": 0,
     "stages_total": 0, "domeig_iters": 0, "status": "ok",
 }
-CSV_COLUMNS = ["study", *SETTING_COLUMNS, "rtol_or_h", *RESULTS]
+CSV_COLUMNS = ["study", *SETTING_COLUMNS, *RESULTS]
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -172,9 +170,9 @@ def error_metrics(samples, ref: ReferenceSolution):
     return linf20, maxmax
 
 
-def _base_row(cfg: ExperimentConfig, point, study: str) -> dict:
+def _base_row(cfg: ExperimentConfig, tol, h, study: str) -> dict:
     return {"study": study, **{c: getattr(cfg, c) for c in SETTING_COLUMNS},
-            "rtol_or_h": point, **RESULTS}
+            "rtol": "" if h else tol.rtol, "fixed_h": h or "", **RESULTS}
 
 
 def _fill_row(row: dict, stats, samples, ref: ReferenceSolution):
@@ -195,9 +193,9 @@ def run_experiment(cfg: ExperimentConfig, study: str = "",
     ref = _reference(cfg, problem)
     times = list(ref.times)
     rows = []
-    for point, tol, h in cfg.points:
+    for tol, h in cfg.points:
         method = make_method(cfg.method, problem, tol, cfg.norm)
-        row = _base_row(cfg, point, study)
+        row = _base_row(cfg, tol, h, study)
         try:
             if h is None:
                 samples, stats = advance_adaptive(

@@ -8,6 +8,8 @@ class StepFailure(RuntimeError):
     needs more stages than the cap); the driver should reject the
     attempt and retry with a smaller h."""
 
+    stages = 0  # the stages the attempt had fixed before it failed
+
 
 class IntegrationAbort(RuntimeError):
     """A driver cannot continue (repeated rejections, a step below

@@ -2,22 +2,29 @@
 
 `advance_adaptive` accepts an attempt when the WRMS norm of its error
 estimate is at most one, controls h with an integral controller using
-the order-aware exponent 1/(p+1), starts from a derivative-based step
-unless one is given, and caps explicit SSP steps at their real-axis
-stability limit and STS steps at the stage cap.  `advance_fixed`
-marches at constant h and flags blow-up instead of failing.  Both end a
-step by one rule: a step of size h from t lands exactly on the next stop
-(sample time, else t_f) when h (1 + 1e-9) >= stop - t, so round-off in
-t leaves no sliver step.
+the order-aware exponent 1/(p+1) and starts from a derivative-based step
+unless one is given.  `advance_fixed` marches at constant h and flags
+blow-up instead of failing.  Both end a step by `_SampleTracker`'s
+landing rule.
 
 The loop owns F(t_n, f_n): it evaluates g = rhs(t_n, f_n) once per
 state, at the first attempt from it (or for the start step), keeps it
 across rejected attempts and passes it to the step, to the eigenvalue
 estimate and to the start step, none of which writes into it.
+
+Every method follows one protocol, so the loop never asks what kind it
+is.  step(rhs, t, f, h, lam_eff, g) forms the attempt's stage count and
+returns (f_next, err, stages); a StepFailure it raises carries in
+.stages the stages it had fixed, and the loop counts them either way.
+interval is the largest h * lam_eff an adaptive step may take: the
+real-axis limit for SSP, the stage cap for STS, inf for DIRK.  A method
+gets lam_eff when it needs_lambda, or in an adaptive run with a finite
+interval, which then caps its step at interval / lam_eff.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -129,52 +136,51 @@ class EigPolicy:
             raise ValueError("q_lambda must be positive and finite")
 
 
-class _StsMethod:
-    family = "sts"
-    order = 2
+def _counted(s, step, *args):
+    """(*step(*args), s); a StepFailure it raises carries the s stages."""
+    try:
+        return *step(*args), s
+    except StepFailure as failure:
+        failure.stages = s
+        raise
 
-    def __init__(self, name: str, sts_family: str):
+
+class _StsMethod:
+    order = 2
+    needs_lambda = True
+
+    def __init__(self, name: str, sts_family: str, build_coefficients):
         self.name = name
         self.sts_family = sts_family
-        self._coeffs = {}
-        # the largest h * lam_eff an adaptive step may take: a hair
-        # inside the interval of STAGE_CAP stages, so that rounding in
-        # h * lam_eff cannot push stage_count past the cap
+        self._coeffs = functools.cache(build_coefficients)
+        # a hair inside the interval of STAGE_CAP stages, so that rounding
+        # in h * lam_eff cannot push stage_count past the cap
         self.interval = (stability_interval(sts_family, STAGE_CAP)
                          * (1.0 - 1e-12))
 
-    def stages_for(self, h: float, lam_eff: float) -> int:
-        return stage_count(h, lam_eff, self.sts_family)
-
-    def step(self, rhs, t, f, h, s, g):
-        coeffs = self._coeffs.get(s)
-        if coeffs is None:
-            build = (rkl2_coefficients if self.sts_family == "rkl2"
-                     else rkc2_coefficients)
-            coeffs = self._coeffs[s] = build(s)
-        f_next, g_next = sts_step(rhs, t, f, h, coeffs, g)
-        return f_next, hermite_error(f, f_next, g, g_next, h)
+    def step(self, rhs, t, f, h, lam_eff, g):
+        s = stage_count(h, lam_eff, self.sts_family)
+        f_next, g_next, s = _counted(s, sts_step, rhs, t, f, h,
+                                     self._coeffs(s), g)
+        return f_next, hermite_error(f, f_next, g, g_next, h), s
 
 
 class _SspMethod:
-    family = "ssp"
+    needs_lambda = False
 
     def __init__(self, name: str, order: int):
         self.name = name
         self.scheme = ssp_scheme(order)
         self.order = order
-        # the largest h * lam_eff an adaptive step may take
         self.interval = self.scheme.real_axis_bound
 
-    def stages_for(self, h, lam_eff):
-        return self.scheme.s
-
-    def step(self, rhs, t, f, h, s, g):
-        return ssp_step(rhs, t, f, h, self.scheme, g)
+    def step(self, rhs, t, f, h, lam_eff, g):
+        return _counted(self.scheme.s, ssp_step, rhs, t, f, h, self.scheme, g)
 
 
 class _DirkMethod:
-    family = "dirk"
+    needs_lambda = False
+    interval = math.inf
 
     def __init__(self, name: str, order: int, newton: NewtonConfig,
                  tol: ToleranceSpec, norm_kind: str):
@@ -185,12 +191,9 @@ class _DirkMethod:
         self.tol = tol
         self.norm_kind = norm_kind
 
-    def stages_for(self, h, lam_eff):
-        return self.scheme.s
-
-    def step(self, rhs, t, f, h, s, g):
-        return dirk_step(rhs, t, f, h, self.scheme, g, self.newton,
-                         self.tol, self.norm_kind)
+    def step(self, rhs, t, f, h, lam_eff, g):
+        return _counted(self.scheme.s, dirk_step, rhs, t, f, h, self.scheme,
+                        g, self.newton, self.tol, self.norm_kind)
 
 
 METHOD_NAMES = ("rkl", "rkc", "ssp2", "ssp3", "ssp4", "dirk2", "dirk3")
@@ -199,12 +202,11 @@ METHOD_NAMES = ("rkl", "rkc", "ssp2", "ssp3", "ssp4", "dirk2", "dirk3")
 def make_method(name: str, problem, tol: ToleranceSpec,
                 norm_kind: str = "component",
                 newton: NewtonConfig | None = None):
-    """The named method.  problem is unused: every method runs on both
-    problems."""
+    """The named method; problem is unused, as every method runs on both."""
     if name == "rkl":
-        return _StsMethod(name, "rkl2")
+        return _StsMethod(name, "rkl2", rkl2_coefficients)
     if name == "rkc":
-        return _StsMethod(name, "rkc2")
+        return _StsMethod(name, "rkc2", rkc2_coefficients)
     if name in ("ssp2", "ssp3", "ssp4"):
         return _SspMethod(name, int(name[-1]))
     if name in ("dirk2", "dirk3"):
@@ -345,8 +347,9 @@ def _start_step(rhs, t: float, f: StateVector, g: StateVector, order: int,
 def _march(problem, method, tol, norm_kind, eig, controller, t_f,
            sample_times, step_log, fixed_h):
     """The time loop; returns (samples, stats, blew_up).  fixed_h=None
-    steps adaptively; else it steps by fixed_h, uncapped, with lambda for
-    STS only, and ends at the first attempt that fails the blow-up test."""
+    steps adaptively; else it steps by fixed_h, uncapped, with lambda only
+    if the method needs_lambda, and ends at the first attempt that fails
+    the blow-up test."""
     adaptive = fixed_h is None
     stats = RunStats()
     start = time.perf_counter()
@@ -359,8 +362,8 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
         tracker = _SampleTracker(sample_times, t_f)
         tracker.record_if_hit(0.0, f)
         eigs = _EigTracker(problem, rhs, eig, tol, stats,
-                           active=method.family == "sts"
-                           or (adaptive and method.family == "ssp"))
+                           active=method.needs_lambda
+                           or (adaptive and method.interval < math.inf))
         p = method.order
         expo = -1.0 / (p + 1.0)
         g = None  # rhs(t, f), evaluated once per state f
@@ -384,7 +387,7 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
                     f"step size {h_ctrl:.3e} fell below h_min {h_min:.3e} at "
                     f"t={t:.6e} after {stats.attempted} attempts")
             h_try, lands = tracker.step(t, h_ctrl)
-            lam_eff, s = 0.0, 0
+            lam_eff = 0.0
             if g is None:
                 g = rhs(t, f)
             try:
@@ -392,18 +395,17 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
                 # capped after landing: a capped step does not land
                 if adaptive and lam_eff and method.interval / lam_eff < h_try:
                     h_try, lands = method.interval / lam_eff, False
-                s = method.stages_for(h_try, lam_eff)
-                stats.stages_total += s
-                f_trial, err = method.step(rhs, t, f, h_try, s, g)
+                f_trial, err, s = method.step(rhs, t, f, h_try, lam_eff, g)
                 if adaptive:
                     e_norm = float(wrms(norm_kind, err, f, tol))
                 else:  # the blow-up test; the step raised on NaN or inf
                     e_norm = (0.0 if np.max(np.abs(f_trial.values)) <= limit
                               else math.inf)
-            except StepFailure:
-                f_trial, e_norm = None, math.inf
+            except StepFailure as failure:
+                f_trial, e_norm, s = None, math.inf, failure.stages
             accepted = e_norm <= 1.0
             stats.attempted += 1
+            stats.stages_total += s
             if step_log is not None:
                 step_log.append(StepRecord(t, h_try, e_norm, accepted, s,
                                            lam_eff))
@@ -459,10 +461,9 @@ def advance_adaptive(problem, method, tol: ToleranceSpec,
                      t_f: float = 1.0, sample_times=(),
                      step_log=None):
     """Integrate to t_f with error-controlled steps; returns
-    (samples, stats).  SSP and STS steps are capped at
-    method.interval / lam_eff.  Raises IntegrationAbort when the step
-    size falls below H_MIN * t_f, after MAX_CONSECUTIVE_REJECTIONS
-    rejections in a row, or when no eigenvalue estimate can be formed."""
+    (samples, stats).  Raises IntegrationAbort when the step size falls
+    below H_MIN * t_f, after MAX_CONSECUTIVE_REJECTIONS rejections in a
+    row, or when no eigenvalue estimate can be formed."""
     if not 0.0 < t_f < math.inf:
         raise ValueError("t_f must be positive and finite")
     return _march(problem, method, tol, norm_kind, eig, controller, t_f,
@@ -478,11 +479,10 @@ def advance_fixed(problem, method, h: float, t_f: float, sample_times=(),
     (non-finite values, growth past BLOWUP_FACTOR times the initial
     max-norm, a non-finite product in the eigenvalue estimate, or a step
     that needs more than STAGE_CAP stages) stops the run early instead
-    of raising; its failed attempt counts in stats.rejected and
-    stats.failure_rate.  It raises ValueError on an h or t_f that is not
-    positive and finite, or on bad sample times, and IntegrationAbort
-    when an STS method's eigenvalue estimate did not converge or has a
-    positive real part, so that no estimate can be formed."""
+    of raising; its failed attempt counts as a rejection.  It raises
+    ValueError on an h or t_f that is not positive and finite, or on bad
+    sample times, and IntegrationAbort when an eigenvalue estimate did
+    not converge or has a positive real part."""
     if not 0.0 < h < math.inf:
         raise ValueError("h must be positive and finite")
     if not 0.0 < t_f < math.inf:

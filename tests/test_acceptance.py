@@ -203,7 +203,7 @@ def test_03_tolerance_tracking():
             rows = run_experiment(cfg, write=False)
             rows_all.extend(rows)
             for r in rows:
-                worst = max(worst, r["error_Linf20"] / r["rtol_or_h"])
+                worst = max(worst, r["error_Linf20"] / r["rtol"])
     elapsed = time.perf_counter() - start
     ok = worst <= 10.0 and all(r["status"] == "ok" for r in rows_all)
     _verdict(3, "tolerance tracking", ok and elapsed < BUDGET[3],
@@ -419,9 +419,9 @@ def test_07_norm_comparison():
     ssp_cell, ssp_comp = _norm_sweeps("ssp4", ssp_rtols, reps=5)
 
     loose_comp = [r["failure_rate"] for r in rkl_comp
-                  if r["rtol_or_h"] >= 1e-3]
+                  if r["rtol"] >= 1e-3]
     loose_cell = [r["failure_rate"] for r in rkl_cell
-                  if r["rtol_or_h"] >= 1e-3]
+                  if r["rtol"] >= 1e-3]
 
     verdicts = {}
     for name, (cell, comp) in (("rkl", (rkl_cell, rkl_comp)),

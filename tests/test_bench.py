@@ -131,11 +131,10 @@ def test_fixed_row_tolerance_does_not_follow_rtol(tmp_path):
 
 
 def test_every_setting_is_a_column():
-    # rtol_or_h stands for the row's rtol or fixed_h point; out is where
-    # the rows go
+    # out is where the rows go
     settings = {f.name for f in fields(ExperimentConfig)}
-    assert set(SETTING_COLUMNS) == settings - {"rtol", "fixed_h", "out"}
-    assert set(SETTING_COLUMNS) | {"study", "rtol_or_h"} <= set(CSV_COLUMNS)
+    assert set(SETTING_COLUMNS) == settings - {"out"}
+    assert set(SETTING_COLUMNS) | {"study"} <= set(CSV_COLUMNS)
 
 
 def _read_csv(path):
@@ -152,12 +151,15 @@ def test_csv_rows_rerun_from_their_own_columns(tmp_path):
     run_experiment(cfg)
     rows = _read_csv(cfg.out)
     assert [r["status"] for r in rows] == ["ok", "ok", "blew_up"]
+    # of rtol and fixed_h, a row fills the one point it ran
+    assert [(r["rtol"], r["fixed_h"]) for r in rows] == [
+        ("0.001", ""), ("", "0.00025"), ("", "0.0125")]
     types = {f.name: type(f.default) for f in fields(ExperimentConfig)}
-    for kind, row in zip(("rtol", "fixed_h", "fixed_h"), rows):
+    types["rtol"] = types["fixed_h"] = lambda cell: (
+        (float(cell),) if cell else ())
+    for row in rows:
         settings = {c: types[c](row[c]) for c in SETTING_COLUMNS}
-        point = {"rtol": (), "fixed_h": (), kind: (float(row["rtol_or_h"]),)}
-        again = ExperimentConfig(**settings, **point,
-                                 out=str(tmp_path / "again.csv"))
+        again = ExperimentConfig(**settings, out=str(tmp_path / "again.csv"))
         run_experiment(again)
         [row_again] = _read_csv(again.out)
         del row["runtime_s"], row_again["runtime_s"]
@@ -290,7 +292,7 @@ def test_rtol_sweep_rows_monotone_and_within_tolerance_band(tmp_path):
     assert all(errs[i] >= errs[i + 1] for i in range(4))
     for r in rows:
         assert r["status"] == "ok"
-        assert r["error_Linf20"] <= 10.0 * r["rtol_or_h"]
+        assert r["error_Linf20"] <= 10.0 * r["rtol"]
         assert r["steps"] > 0 and r["rhs_evals"] > 0
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -670,5 +671,119 @@ def test_each_state_right_hand_side_is_evaluated_once(name, kind, n_v, nu,
     if run == "adaptive-h0" and name in ("rkl", "rkc", "ssp3"):
         # the path this pins: retries and estimator refreshes
         assert stats.rejected > 0 and stats.domeig_calls > 1
-    want = stats.accepted - 1 if method.family == "sts" else 0
+    want = stats.accepted - 1 if name in ("rkl", "rkc") else 0
     assert prob.repeats == want
+
+
+class NanLineProblem(NanProblem):
+    """NanProblem on FD 16x1 at nu=1, with an analytic eigenvalue bound,
+    so every attempt fails after its stage count is fixed."""
+
+    layout = GridLayout("fd", 16, 1)
+    problem = FdProblem(layout, nu=1.0)
+
+    def initial_condition(self):
+        return self.problem.initial_condition()
+
+    def lambda_user(self):
+        return self.problem.lambda_user()
+
+
+@pytest.mark.parametrize("name,adaptive_total,fixed_stages", [
+    ("rkl", 31, 3), ("ssp3", 40, 4), ("dirk2", 30, 3)])
+def test_a_failed_attempt_keeps_its_stage_count(name, adaptive_total,
+                                                fixed_stages):
+    # each attempt fails inside the step, after its stage count is fixed:
+    # those stages are counted and logged, under both step policies
+    prob = NanLineProblem()
+    user = EigPolicy(mode="user")
+    log = []
+    with pytest.raises(IntegrationAbort, match="consecutive rejections") \
+            as abort:
+        advance_adaptive(prob, make_method(name, prob, TOL), TOL,
+                         "component", user, ControllerConfig(h0=1.0), 1.0,
+                         step_log=log)
+    stats = abort.value.stats
+    assert stats.attempted == len(log) == MAX_CONSECUTIVE_REJECTIONS
+    assert stats.stages_total == sum(r.stages for r in log) == adaptive_total
+    assert all(r.stages > 0 and not r.accepted for r in log)
+    if name == "rkl":
+        assert [r.stages for r in log[:4]] == [11, 4, 2, 2]
+    log = []
+    _, stats, blew_up = advance_fixed(prob, make_method(name, prob, TOL),
+                                      0.05, 1.0, tol=TOL, eig=user,
+                                      step_log=log)
+    assert blew_up and [r.stages for r in log] == [fixed_stages]
+    assert stats.stages_total == fixed_stages
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", ["rkl", "ssp3", "dirk2"])
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+def test_lambda_is_formed_only_where_the_method_uses_it(name, adaptive):
+    # STS needs lambda for its stage count under both policies, SSP only
+    # for its adaptive stability cap, and DIRK never
+    prob = FdProblem(GridLayout("fd", 16, 1), nu=1.0)
+    method = make_method(name, prob, TOL)
+    log = []
+    if adaptive:
+        _, stats = advance_adaptive(prob, method, TOL, "component",
+                                    EigPolicy(mode="power"),
+                                    ControllerConfig(), 0.05, step_log=log)
+    else:
+        _, stats, _ = advance_fixed(prob, method, 0.0025, 0.05, tol=TOL,
+                                    eig=EigPolicy(mode="power"),
+                                    step_log=log)
+    forms = name == "rkl" or (name == "ssp3" and adaptive)
+    assert (stats.domeig_calls > 0) == forms
+    assert all((r.lam_eff > 0.0) == forms for r in log)
+
+
+class EulerSubsteps:
+    """A method defined outside the package: forward Euler in s equal
+    substeps, with s = ceil(h lam_eff / 1.9) formed inside the step, and
+    the trapezoidal difference of each substep as its error estimate."""
+
+    order = 1
+    needs_lambda = True
+    interval = math.inf
+
+    def step(self, rhs, t, f, h, lam_eff, g):
+        s = max(1, math.ceil(h * lam_eff / 1.9))
+        dt = h / s
+        z, g_z = f.values, g.values
+        err = np.zeros_like(z)
+        for k in range(1, s + 1):
+            z = z + dt * g_z
+            g_next = rhs(t + k * dt, StateVector(z, f.layout)).values
+            err += 0.5 * dt * (g_next - g_z)
+            g_z = g_next
+        return StateVector(z, f.layout), StateVector(err, f.layout), s
+
+
+def test_a_new_method_runs_through_both_drivers_unchanged():
+    # the loop asks a method only for its step, order, interval and
+    # needs_lambda: a stage count formed inside the step is counted as
+    # the step returns it
+    prob = FdProblem(GridLayout("fd", 16, 1), nu=10.0)
+    user = EigPolicy(mode="user")
+    ref = expm_reference(prob, 0.1)
+    tol = ToleranceSpec(1e-3)
+    log = []
+    samples, stats = advance_adaptive(
+        prob, EulerSubsteps(), tol, "component", user, ControllerConfig(),
+        0.1, [0.1], step_log=log)
+    fixed_log = []
+    fixed_samples, fixed_stats, blew_up = advance_fixed(
+        prob, EulerSubsteps(), 0.005, 0.1, [0.1], tol=tol, eig=user,
+        step_log=fixed_log)
+    assert not blew_up
+    for run in ((samples, stats, log),
+                (fixed_samples, fixed_stats, fixed_log)):
+        run_samples, run_stats, run_log = run
+        assert run_stats.stages_total == sum(r.stages for r in run_log)
+        assert np.max(np.abs(run_samples[0].values - ref)) < 1e-3
+    # the stage count follows h * lam_eff: 2 substeps at the fixed step,
+    # and more than one count over the adaptive run
+    assert {r.stages for r in fixed_log} == {2}
+    assert len({r.stages for r in log}) > 1
