@@ -118,27 +118,19 @@ class ReferenceSolution:
     snapshots: np.ndarray
 
 
-def _expm_reference(problem, times) -> np.ndarray:
-    """Dense N x N route; an independent oracle for small grids."""
-    op = problem.assemble_matrix()
-    w, V = np.linalg.eigh((op + op.T) / 2.0)
-    f0 = problem.initial_condition().values
-    coeffs = V.T @ f0
-    return np.stack([V @ (np.exp(w * t) * coeffs) for t in times])
-
-
-def _line_reference(problem, times) -> np.ndarray:
-    """exp(A t) f0 from one eigendecomposition of the line block."""
-    a = problem.line_matrix()
-    w, V = np.linalg.eigh((a + a.T) / 2.0)
-    coeffs = problem.to_lines(problem.initial_condition().values) @ V
-    return np.stack([problem.from_lines((coeffs * np.exp(w * t)) @ V.T)
-                     for t in times])
-
-
 def _reference(cfg: ExperimentConfig, problem) -> ReferenceSolution:
+    """exp(A t) f0 at the sample times from one eigendecomposition of
+    the line block, which must be symmetric to the bit: eigh reads one
+    triangle, so a non-symmetric block would be replaced, not solved."""
+    a = problem.line_matrix()
+    if not np.array_equal(a, a.T):
+        raise ValueError("the line block is not symmetric; the reference "
+                         "needs a symmetric operator")
+    w, V = np.linalg.eigh(a)
+    coeffs = problem.to_lines(problem.initial_condition().values) @ V
     times = sample_times(cfg.t_f)
-    return ReferenceSolution(times, _line_reference(problem, times))
+    return ReferenceSolution(times, np.stack(
+        [problem.from_lines((coeffs * np.exp(w * t)) @ V.T) for t in times]))
 
 
 def compute_reference(cfg: ExperimentConfig, cache_dir=None

@@ -111,11 +111,15 @@ def power_iterate(rhs, t: float, f: StateVector, g: StateVector,
     Stops when the relative Rayleigh change drops below cfg.tau, which
     bounds the error only for a spectrum with a clear gap (see
     min_safe_q).  v0 overrides the seeded start vector.  An operator
-    that annihilates the start vector gives the exact estimate 0; a
+    that annihilates the start vector gives the exact estimate 0, and so
+    does a zero start vector, at no rhs call: on a one-dof grid the
+    seeded draw is the constant mode, which deflation removes.  A
     non-finite product raises StepFailure.
     """
     v = _start_vector(f.layout, cfg.seed) if v0 is None else np.array(
         v0, dtype=float)
+    if not np.any(v):
+        return DomEigEstimate(0.0, 0, True)
     lam = 0.0
     lam_prev = None
     for k in range(1, cfg.max_iters + 1):

@@ -23,7 +23,6 @@ import pytest
 
 from stsdiff.bench import (ExperimentConfig, build_problem, compute_reference,
                            run_experiment, sample_times, CSV_COLUMNS)
-from stsdiff.bench import _expm_reference
 from stsdiff.domeig import _dq, power_iterate, PowerIterConfig
 from stsdiff.integrators.dirk import NewtonConfig, cg_solve, dirk_tableau
 from stsdiff.integrators.sts import (rkl2_coefficients, rkc2_coefficients,
@@ -31,6 +30,8 @@ from stsdiff.integrators.sts import (rkl2_coefficients, rkc2_coefficients,
 from stsdiff.state import GridLayout, StateVector, ToleranceSpec
 from stsdiff import (ControllerConfig, EigPolicy, advance_adaptive,
                      advance_fixed, make_method)
+
+from dense_oracle import dense_expm
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -41,13 +42,6 @@ BUDGET = {1: 120, 2: 60, 3: 300, 4: 600, 5: 60, 6: 300, 7: 600, 8: 300,
 def _verdict(num, label, ok, detail):
     print(f"ACCEPTANCE {num:02d} {label}: {'PASS' if ok else 'FAIL'} | "
           f"{detail}")
-
-
-def _expm_endpoint(prob, t_f):
-    a = prob.assemble_matrix()
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    f0 = prob.initial_condition().values
-    return v @ (np.exp(t_f * w) * (v.T @ f0))
 
 
 def _problem(kind, nu, n_v, n_x):
@@ -66,7 +60,7 @@ def _dominant(prob):
 
 
 def _fixed_step_errors(name, prob, h0, t_f, newton=None):
-    ref = _expm_endpoint(prob, t_f)
+    [ref] = dense_expm(prob, (t_f,))
     tol = ToleranceSpec(1e-6)
     errs = []
     for k in range(5):
@@ -84,7 +78,7 @@ def _sts_fixed_stage_errors(family, make_coeffs, prob, stages):
     lam = _dominant(prob)
     h0 = 0.45 * stability_interval(family, stages) / lam
     t_f = 8 * h0
-    ref = _expm_endpoint(prob, t_f)
+    [ref] = dense_expm(prob, (t_f,))
     errs = []
     for k in range(5):
         h = h0 / 2**k
@@ -584,7 +578,7 @@ def test_10_oracle_equivalences():
         cfg = ExperimentConfig(problem=kind, nu=1.0, n_v=n_v, n_x=n_x,
                                out="unused.csv")
         small = build_problem(cfg)
-        exact = _expm_reference(small, times)
+        exact = dense_expm(small, times)
         marched, _ = advance_adaptive(
             small, make_method("rkl", small, tight), tight, "cell",
             EigPolicy(q_lambda=1.2, refresh="periodic", period=25),

@@ -11,10 +11,11 @@ from stsdiff.bench import (
     CSV_COLUMNS,
     FIXED_H_GRID,
     N_SAMPLES,
+    PROBLEMS,
     SETTING_COLUMNS,
     ExperimentConfig,
     ReferenceSolution,
-    _expm_reference,
+    _reference,
     _study_points,
     build_problem,
     compute_reference,
@@ -27,6 +28,8 @@ from stsdiff.cli import build_config
 from stsdiff.errors import IntegrationAbort
 from stsdiff.problems import DgProblem, FdProblem
 from stsdiff.state import GridLayout, StateVector
+
+from dense_oracle import dense_expm
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -178,7 +181,7 @@ def test_reference_provenance_paths_agree(tmp_path):
         cfg = small_cfg(tmp_path, problem=problem, n_v=nv, n_x=nx)
         ref = compute_reference(cfg)
         assert ref.snapshots.shape == (20, build_problem(cfg).layout.n_dof)
-        dense = _expm_reference(build_problem(cfg), sample_times(cfg.t_f))
+        dense = dense_expm(build_problem(cfg), sample_times(cfg.t_f))
         rel = (np.max(np.abs(dense - ref.snapshots))
                / np.max(np.abs(dense)))
         assert rel < 5e-8
@@ -206,7 +209,7 @@ def test_reference_needs_no_dense_matrix_or_time_march(tmp_path,
                                                        monkeypatch):
     smalls = [small_cfg(tmp_path, problem="dg", n_v=16, n_x=2),
               small_cfg(tmp_path, problem="fd", n_v=32, n_x=4)]
-    dense = [_expm_reference(build_problem(c), sample_times(1.0))
+    dense = [dense_expm(build_problem(c), sample_times(1.0))
              for c in smalls]
 
     def boom(*a, **kw):
@@ -227,16 +230,48 @@ def test_reference_needs_no_dense_matrix_or_time_march(tmp_path,
             assert abs(_mass(problem, snap) - m0) <= 1e-12 * abs(m0)
 
 
-def test_zero_operator_reference_is_the_initial_state():
+def test_zero_operator_reference_is_the_initial_state(tmp_path):
     lay = GridLayout("fd", 8, 1)
     f0 = np.linspace(1.0, 2.0, 8)
     problem = SimpleNamespace(
-        layout=lay,
-        assemble_matrix=lambda: np.zeros((8, 8)),
+        line_matrix=lambda: np.zeros((8, 8)),
+        to_lines=lambda x: x.reshape(1, 8),
+        from_lines=lambda y: y.reshape(8),
         initial_condition=lambda: StateVector(f0.copy(), lay))
-    snaps = _expm_reference(problem, sample_times(1.0))
+    snaps = _reference(small_cfg(tmp_path), problem).snapshots
     for k in range(20):
         np.testing.assert_allclose(snaps[k], f0, atol=1e-14)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS)
+def test_reference_refuses_a_block_that_is_not_symmetric(
+        tmp_path, monkeypatch, problem):
+    # eigh reads one triangle: a block symmetrized, or read by halves,
+    # would give the exponential of another operator
+    cls = PROBLEMS[problem]
+    shipped = cls.line_matrix
+
+    def skewed(self):
+        a = shipped(self)
+        a[0, 1] *= 1.0 + 1e-9
+        return a
+
+    monkeypatch.setattr(cls, "line_matrix", skewed)
+    with pytest.raises(ValueError, match="not symmetric"):
+        compute_reference(small_cfg(tmp_path, problem=problem, n_v=8))
+
+
+@pytest.mark.parametrize(
+    "problem, kw",
+    [(p, dict(modulation=m)) for p in PROBLEMS for m in (0.0, 0.5, 0.99)]
+    + [("dg", dict(penalty_c=c)) for c in (0.01, 1.0)])
+def test_every_shipped_line_block_is_symmetric_to_the_bit(problem, kw):
+    # the reference refuses any other block
+    for n_v in (1, 2, 3, 7, 40):
+        for nu in (0.1, 10.0):
+            a = PROBLEMS[problem](GridLayout(problem, n_v, 2), nu,
+                                  **kw).line_matrix()
+            assert np.array_equal(a, a.T), (n_v, nu)
 
 
 @pytest.mark.parametrize("problem,nv,nx", [("fd", 32, 1), ("dg", 8, 2)])
@@ -282,6 +317,26 @@ def test_error_metrics_rejects_bad_inputs():
                           snapshots=np.ones((2, 2)))
     with pytest.raises(ValueError):
         error_metrics([StateVector(np.ones(2), lay)], ref)
+    ref = SimpleNamespace(times=np.array([1.0]), snapshots=np.ones((1, 2)))
+    with pytest.raises(ValueError, match="layout mismatch"):
+        error_metrics([StateVector(np.ones(3), GridLayout("fd", 3, 1))], ref)
+
+
+@pytest.mark.parametrize("method, fixed_h", [
+    ("rkl", ()), ("rkl", (0.0025,)), ("rkc", ()), ("ssp3", ())],
+    ids=["rkl", "rkl-fixed", "rkc", "ssp3"])
+def test_one_dof_problem_runs_where_lambda_is_formed(tmp_path, method,
+                                                     fixed_h):
+    # one FD dof is the constant mode: the operator is zero, power
+    # iteration's start vector is deflated to zero, and the estimate is
+    # the exact 0 at no iteration
+    cfg = small_cfg(tmp_path, method=method, n_v=1, n_x=1, t_f=0.05,
+                    eig_mode="power", rtol=() if fixed_h else (1e-3,),
+                    fixed_h=fixed_h)
+    [row] = run_experiment(cfg, write=False)
+    assert row["status"] == "ok"
+    assert row["domeig_iters"] == 0
+    assert row["error_Linf20"] <= 1e-15
 
 
 def test_rtol_sweep_rows_monotone_and_within_tolerance_band(tmp_path):

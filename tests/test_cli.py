@@ -89,6 +89,16 @@ def test_unknown_config_key_rejected(tmp_path):
         _load_config_file(str(bad))
 
 
+def test_config_file_that_is_not_a_mapping_exits_2(tmp_path, capsys):
+    listed = tmp_path / "list.yaml"
+    listed.write_text("- problem: fd\n- nv: 16\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    rc = main(["run", "--config", str(listed), "--out", str(out)])
+    assert rc == 2
+    assert "flat key-value mapping" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_flag_combination_exits_nonzero(tmp_path, capsys):
     # an empty rtol list and no fixed_h leave nothing to run
     rc = main(["run", "--rtol", "", "--out", str(tmp_path / "x.csv")])

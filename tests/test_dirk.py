@@ -408,6 +408,41 @@ def test_nonfinite_rhs_raises_step_failure():
                   NewtonConfig(), ToleranceSpec(1e-6))
 
 
+def test_nonfinite_stage_derivative_fails_the_newton_residual():
+    # F(t_n, f_n) is finite; every stage time returns NaN
+    lay = GridLayout("fd", 4, 1)
+
+    def rhs(t, f):
+        return StateVector(np.full(4, np.nan) if t > 0.0 else -f.values, lay)
+
+    f0 = StateVector(np.ones(lay.n_dof), lay)
+    with pytest.raises(StepFailure, match="non-finite Newton residual"):
+        dirk_step(rhs, 0.0, f0, 0.1, dirk_tableau(2), rhs(0.0, f0),
+                  NewtonConfig(), ToleranceSpec(1e-6))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_combination_of_finite_stages_raises():
+    # the stage solves converge to finite values, and a tableau that is
+    # not stiffly accurate weighs them past the float range.  Both
+    # shipped tableaus are stiffly accurate, so f_next is the last
+    # stage's solve and the residual check fails first.
+    lay = GridLayout("fd", 1, 1)
+
+    def rhs(t, f):
+        return StateVector(np.full(1, 1e308), lay)
+
+    wide = dirk.DirkScheme(
+        "wide", 1, 0, a=np.array([[0.0, 0.0], [0.5, 0.5]]),
+        b=np.array([1.0, 1.0]), b_embedded=np.array([1.0, 0.0]),
+        c=np.array([0.0, 1.0]))
+    f0 = StateVector(np.zeros(1), lay)
+    with pytest.raises(StepFailure, match="non-finite values in DIRK "
+                                          "combination"):
+        dirk_step(rhs, 0.0, f0, 1.0, wide, rhs(0.0, f0), NewtonConfig(),
+                  ToleranceSpec(1e-6))
+
+
 def test_newton_config_validation():
     with pytest.raises(ValueError):
         NewtonConfig(tol=0.0)

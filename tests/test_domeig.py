@@ -242,6 +242,22 @@ class TestPowerIterate:
                             TOL)
         assert est == DomEigEstimate(0.0, 1, True)
 
+    @pytest.mark.parametrize("n, v0", [(1, None), (4, np.zeros(4))])
+    def test_zero_start_gives_zero_without_a_product(self, n, v0):
+        # on one dof the seeded draw is the constant mode, which the
+        # deflation removes; the difference quotient refuses a zero
+        # direction, so the iteration must not take one
+        calls = []
+
+        def rhs(t, u):
+            calls.append(t)
+            return StateVector(-u.values, u.layout)
+        f = fixture_state(n)
+        est = power_iterate(rhs, 0.0, f, StateVector(-f.values, f.layout),
+                            PowerIterConfig(seed=0), TOL, v0=v0)
+        assert est == DomEigEstimate(0.0, 0, True)
+        assert calls == []
+
     def test_nonfinite_fails(self):
         def rhs(t, u):
             out = u.values.copy()

@@ -168,6 +168,12 @@ class TestStability:
             zs = np.linspace(-1.3 * beta, -1.0001 * beta, 300)
             assert np.max(np.abs(amp_recursion(co, zs))) > 1.0
 
+    def test_interval_input_validation(self):
+        with pytest.raises(ValueError, match="start at 2 stages"):
+            stability_interval("rkl2", 1)
+        with pytest.raises(ValueError, match="unknown family"):
+            stability_interval("rk4", 3)
+
     def test_rkc2_closed_form_matches_chebyshev_recurrence(self):
         # (1+w0) T_s''(w0)/T_s'(w0) from the three-term recurrence
         for s in range(2, 61):
@@ -279,6 +285,19 @@ class TestStep:
         f = StateVector(np.ones(2), lay)
         with pytest.raises(StepFailure):
             sts_step(rhs, 0.0, f, 0.1, rkl2_coefficients(4), rhs(0.0, f))
+
+    def test_nonfinite_rhs_after_the_step_raises(self):
+        # every stage is finite; only F(t_n + h, f_next) is not
+        lay = GridLayout("fd", 2, 1)
+        t_n, h = 0.4, 0.1
+
+        def rhs(t, u):
+            return StateVector(np.full(2, np.nan) if t == t_n + h
+                               else -u.values, lay)
+
+        f = StateVector(np.ones(2), lay)
+        with pytest.raises(StepFailure, match="right-hand side after step"):
+            sts_step(rhs, t_n, f, h, rkl2_coefficients(4), rhs(t_n, f))
 
 
 class TestHermiteError:

@@ -23,6 +23,8 @@ from stsdiff.state import wrms
 from stsdiff.timeloop import (H_MIN, MAX_CONSECUTIVE_REJECTIONS, SAFETY,
                               SHRINK, _start_step)
 
+from dense_oracle import dense_expm
+
 LAY = GridLayout("fd", 64, 1)
 PROB = FdProblem(LAY, nu=1.0)
 TOL = ToleranceSpec(1e-5)
@@ -48,13 +50,6 @@ class NanProblem:
 
     def initial_condition(self):
         return PROB.initial_condition()
-
-
-def expm_reference(prob, tf):
-    J = prob.assemble_matrix()
-    w, V = np.linalg.eigh((J + J.T) / 2)
-    f0 = prob.initial_condition().values
-    return V @ (np.exp(w * tf) * (V.T @ f0))
 
 
 def test_zero_rhs_grows_step_without_rejections():
@@ -164,7 +159,7 @@ def test_sts_step_is_capped_after_landing():
 
 
 def test_adaptive_solution_tracks_reference():
-    ref = expm_reference(PROB, 1.0)
+    [ref] = dense_expm(PROB, (1.0,))
     for name in ("rkl", "rkc", "ssp3", "dirk2"):
         samples, _ = advance_adaptive(PROB, make_method(name, PROB, TOL),
                                       TOL, "component", EIG,
@@ -186,7 +181,7 @@ def test_stabilized_method_survives_the_same_fixed_step():
                                          0.05, 1.0, TWENTY, tol=TOL, eig=EIG)
     assert not blew
     assert len(samples) == 20
-    ref = expm_reference(PROB, 1.0)
+    [ref] = dense_expm(PROB, (1.0,))
     rel = np.max(np.abs(samples[-1].values - ref)) / np.max(np.abs(ref))
     assert rel < 1e-2
 
@@ -767,7 +762,7 @@ def test_a_new_method_runs_through_both_drivers_unchanged():
     # the step returns it
     prob = FdProblem(GridLayout("fd", 16, 1), nu=10.0)
     user = EigPolicy(mode="user")
-    ref = expm_reference(prob, 0.1)
+    [ref] = dense_expm(prob, (0.1,))
     tol = ToleranceSpec(1e-3)
     log = []
     samples, stats = advance_adaptive(
