@@ -24,6 +24,7 @@ from .state import NORM_NAMES, GridLayout, ToleranceSpec
 from .timeloop import (
     EIG_MODES,
     FIXED_TOL,
+    LANDING_SLACK,
     EigPolicy,
     METHOD_NAMES,
     advance_adaptive,
@@ -76,8 +77,10 @@ class ExperimentConfig:
         if not all(0.0 < h < math.inf for h in self.fixed_h):
             raise ValueError("fixed_h entries must be positive and finite")
         # both drivers land on every sample time, so a longer step would
-        # run, and be labelled, as a shorter one
-        if any(h > self.t_f / N_SAMPLES for h in self.fixed_h):
+        # run, and be labelled, as a shorter one; a step within the
+        # landing slack of the spacing lands, and runs at the spacing
+        spacing = self.t_f / N_SAMPLES
+        if any(h > spacing * (1.0 + LANDING_SLACK) for h in self.fixed_h):
             raise ValueError(f"fixed_h entries must not exceed the sample "
                              f"spacing t_f/{N_SAMPLES}")
         object.__setattr__(self, "eig", EigPolicy(

@@ -21,6 +21,10 @@ from ..state import StateVector, ToleranceSpec, is_count, wrms
 
 @dataclass(frozen=True)
 class DirkScheme:
+    """A tableau with an explicit first stage (a[0] = 0, c[0] = 0) that
+    is stiffly accurate (b = a[-1], c[-1] = 1), so a step ends on its
+    last stage's solve; any other tableau raises ValueError."""
+
     name: str
     order: int
     embedded_order: int
@@ -28,6 +32,13 @@ class DirkScheme:
     b: np.ndarray
     b_embedded: np.ndarray
     c: np.ndarray
+
+    def __post_init__(self):
+        if np.any(self.a[0] != 0.0) or self.c[0] != 0.0:
+            raise ValueError(f"{self.name}: the first stage must be explicit")
+        if not np.array_equal(self.b, self.a[-1]) or self.c[-1] != 1.0:
+            raise ValueError(f"{self.name}: the tableau must be stiffly "
+                             f"accurate, b = a[-1] and c[-1] = 1")
 
     @property
     def s(self) -> int:
@@ -43,7 +54,7 @@ def _dirk2() -> DirkScheme:
         [g, g, 0.0],
         [d, d, g],
     ])
-    b = np.array([d, d, g])
+    b = a[-1].copy()
     b_embedded = np.array([0.8 - d, 0.8 - d, np.sqrt(2.0) / 2.0 - 0.6])
     return DirkScheme("dirk2", 2, 1, a, b, b_embedded,
                       c=np.array([0.0, 2.0 * g, 1.0]))
@@ -135,7 +146,7 @@ def cg_solve(apply_A, rhs_vec: np.ndarray, tol: float,
 def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
               scheme: DirkScheme, g_n: StateVector, newton: NewtonConfig,
               tol: ToleranceSpec, norm_kind: str = "component"):
-    """One DIRK step; returns (f_next, error_estimate).
+    """One DIRK step; returns (f_next, error_estimate, g_next).
 
     Stage 0 of both tableaus is explicit, a[0, :] = 0 and c[0] = 0, so
     its derivative is g_n = rhs(t_n, f_n), which the caller supplies and
@@ -144,7 +155,11 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
     Newton from the predictor z = a_i + h A_ii g_{i-1}, which takes the
     previous stage's derivative for G(t_i, z).  The linearized systems
     (I - h A_ii J) delta = -F use matrix-free CG.  J v is the
-    difference-quotient product around z, weighted by f_n."""
+    difference-quotient product around z, weighted by f_n.
+
+    The tableaus are stiffly accurate, so f_next is the last stage's
+    solve z_s itself, and g_next = rhs(t_n + h, z_s) is the derivative
+    the step already evaluated there, for the next step's stage 0."""
     lay = f_n.layout
     s = scheme.s
     gs = np.zeros((s, lay.n_dof))
@@ -182,8 +197,6 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
             g_z = rhs(t_i, StateVector(z, lay)).values
         gs[i] = g_z
 
-    f_next = f_n.values + h * (scheme.b @ gs)
-    if not np.all(np.isfinite(f_next)):
-        raise StepFailure("non-finite values in DIRK combination")
     err = h * ((scheme.b - scheme.b_embedded) @ gs)
-    return StateVector(f_next, lay), StateVector(err, lay)
+    # z and g_z are arrays of their own, so the stage block gs dies here
+    return StateVector(z, lay), StateVector(err, lay), StateVector(g_z, lay)

@@ -8,14 +8,17 @@ blow-up instead of failing.  Both end a step by `_SampleTracker`'s
 landing rule.
 
 The loop owns F(t_n, f_n): it evaluates g = rhs(t_n, f_n) once per
-state, at the first attempt from it (or for the start step), keeps it
-across rejected attempts and passes it to the step, to the eigenvalue
-estimate and to the start step, none of which writes into it.
+state, at the first attempt from it (or for the start step), unless the
+step that produced the state handed it over.  It keeps g across rejected
+attempts and passes it to the step, to the eigenvalue estimate and to
+the start step, none of which writes into it.
 
 Every method follows one protocol, so the loop never asks what kind it
 is.  step(rhs, t, f, h, lam_eff, g) forms the attempt's stage count and
-returns (f_next, err, stages); a StepFailure it raises carries in
-.stages the stages it had fixed, and the loop counts them either way.
+returns (f_next, err, stages, g_next), where g_next is F(t + h, f_next)
+when the step evaluated it, else None; an accepted step's g_next becomes
+the next state's g.  A StepFailure it raises carries in .stages the
+stages it had fixed, and the loop counts them either way.
 interval is the largest h * lam_eff an adaptive step may take: the
 real-axis limit for SSP, the stage cap for STS, inf for DIRK.  A method
 gets lam_eff when it needs_lambda, or in an adaptive run with a finite
@@ -58,6 +61,8 @@ SAFETY = 0.9
 GROWTH = 1.5
 FIRST_STEP_GROWTH = 20.0
 SHRINK = 0.1
+# a step of size h lands on a stop at most (1 + LANDING_SLACK) h away
+LANDING_SLACK = 1e-9
 # sources of lambda: the problem's analytic bound, or power iteration
 EIG_MODES = ("user", "power")
 # a fixed-step run's tolerance, for DIRK's Newton solve and the
@@ -162,7 +167,7 @@ class _StsMethod:
         s = stage_count(h, lam_eff, self.sts_family)
         f_next, g_next, s = _counted(s, sts_step, rhs, t, f, h,
                                      self._coeffs(s), g)
-        return f_next, hermite_error(f, f_next, g, g_next, h), s
+        return f_next, hermite_error(f, f_next, g, g_next, h), s, None
 
 
 class _SspMethod:
@@ -175,7 +180,8 @@ class _SspMethod:
         self.interval = self.scheme.real_axis_bound
 
     def step(self, rhs, t, f, h, lam_eff, g):
-        return _counted(self.scheme.s, ssp_step, rhs, t, f, h, self.scheme, g)
+        return (*_counted(self.scheme.s, ssp_step, rhs, t, f, h, self.scheme,
+                          g), None)
 
 
 class _DirkMethod:
@@ -192,8 +198,10 @@ class _DirkMethod:
         self.norm_kind = norm_kind
 
     def step(self, rhs, t, f, h, lam_eff, g):
-        return _counted(self.scheme.s, dirk_step, rhs, t, f, h, self.scheme,
-                        g, self.newton, self.tol, self.norm_kind)
+        f_next, err, g_next, s = _counted(
+            self.scheme.s, dirk_step, rhs, t, f, h, self.scheme, g,
+            self.newton, self.tol, self.norm_kind)
+        return f_next, err, s, g_next
 
 
 METHOD_NAMES = ("rkl", "rkc", "ssp2", "ssp3", "ssp4", "dirk2", "dirk3")
@@ -218,8 +226,9 @@ def make_method(name: str, problem, tol: ToleranceSpec,
 class _SampleTracker:
     """Walks sorted sample times and decides where each step ends, by the
     one landing rule: a step of size h from t lands on the next stop (the
-    next sample time, else t_f) when h (1 + 1e-9) >= stop - t, and then
-    ends at stop itself, so round-off in t leaves no sliver step."""
+    next sample time, else t_f) when h (1 + LANDING_SLACK) >= stop - t,
+    and then ends at stop itself, so round-off in t leaves no sliver
+    step."""
 
     def __init__(self, sample_times, t_f: float):
         times = [float(x) for x in sample_times]
@@ -241,7 +250,7 @@ class _SampleTracker:
     def step(self, t: float, h: float):
         """(h_try, lands) for a step of size h from t; h_try is a float."""
         gap = self.next_stop() - t
-        if h * (1.0 + 1e-9) >= gap:
+        if h * (1.0 + LANDING_SLACK) >= gap:
             return gap, True
         return float(h), False
 
@@ -366,7 +375,7 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
                            or (adaptive and method.interval < math.inf))
         p = method.order
         expo = -1.0 / (p + 1.0)
-        g = None  # rhs(t, f), evaluated once per state f
+        g = None  # rhs(t, f), evaluated once per state f or handed over
         if adaptive:
             h_ctrl = controller.h0
             if h_ctrl is None:
@@ -395,14 +404,16 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
                 # capped after landing: a capped step does not land
                 if adaptive and lam_eff and method.interval / lam_eff < h_try:
                     h_try, lands = method.interval / lam_eff, False
-                f_trial, err, s = method.step(rhs, t, f, h_try, lam_eff, g)
+                f_trial, err, s, g_trial = method.step(rhs, t, f, h_try,
+                                                       lam_eff, g)
                 if adaptive:
                     e_norm = float(wrms(norm_kind, err, f, tol))
                 else:  # the blow-up test; the step raised on NaN or inf
                     e_norm = (0.0 if np.max(np.abs(f_trial.values)) <= limit
                               else math.inf)
             except StepFailure as failure:
-                f_trial, e_norm, s = None, math.inf, failure.stages
+                f_trial, g_trial, e_norm, s = (None, None, math.inf,
+                                               failure.stages)
             accepted = e_norm <= 1.0
             stats.attempted += 1
             stats.stages_total += s
@@ -411,7 +422,7 @@ def _march(problem, method, tol, norm_kind, eig, controller, t_f,
                                            lam_eff))
             if accepted:
                 t = tracker.accept(t, h_try, lands, f_trial)
-                f, g = f_trial, None
+                f, g = f_trial, g_trial
                 stats.accepted += 1
                 consecutive_rejects = 0
                 eigs.after_accept()

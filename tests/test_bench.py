@@ -121,6 +121,23 @@ def test_fixed_h_past_the_sample_spacing_is_rejected(tmp_path):
                           for c in points for h in c.fixed_h)
 
 
+@pytest.mark.parametrize("t_f,h", [(0.7, 0.035), (0.35, 0.0175),
+                                   (1.4, 0.07), (2.8, 0.14)])
+def test_fixed_h_equal_to_the_spacing_is_accepted_despite_rounding(
+        tmp_path, t_f, h):
+    # t_f / 20 rounds below h here (0.7 / 20 = 0.034999999999999996); the
+    # step lands within the drivers' landing slack, so it runs at the
+    # spacing, 20 steps
+    assert t_f / N_SAMPLES < h
+    [row] = run_experiment(small_cfg(tmp_path, n_v=16, rtol=(), t_f=t_f,
+                                     fixed_h=(h,), eig_mode="user"),
+                           write=False)
+    assert row["status"] == "ok"
+    assert (row["steps"], row["rejected"]) == (N_SAMPLES, 0)
+    with pytest.raises(ValueError, match="spacing"):
+        small_cfg(tmp_path, t_f=0.7, rtol=(), fixed_h=(0.0351,))
+
+
 def test_fixed_row_tolerance_does_not_follow_rtol(tmp_path):
     # DIRK's Newton tolerance once came from rtol[0]: this fixed-step row
     # then took 182 rhs calls after rtol 1e-2 and 197 after rtol 1e-3

@@ -206,7 +206,7 @@ def test_scalar_step_matches_rational_stability_function(order):
     newton = NewtonConfig(tol=1e-7, cg_tol_factor=1e-3, max_newton=20)
     h = 0.3
     f0 = StateVector(np.array([1.0]), lay)
-    f1, err = dirk_step(rhs, 0.0, f0, h, sch, rhs(0.0, f0), newton, tol)
+    f1, err, _ = dirk_step(rhs, 0.0, f0, h, sch, rhs(0.0, f0), newton, tol)
     z = h * -3.7
     r = stability_function(sch, z)
     r_hat = stability_function(sch, z, sch.b_embedded)
@@ -218,8 +218,8 @@ def test_scalar_step_matches_rational_stability_function(order):
 def test_one_huge_implicit_step_contracts(order):
     lay, rhs = scalar_problem(-1e6)
     f0 = StateVector(np.array([1.0]), lay)
-    f1, _ = dirk_step(rhs, 0.0, f0, 1.0, dirk_tableau(order), rhs(0.0, f0),
-                      NewtonConfig(), ToleranceSpec(1e-6, atol=0.0))
+    f1, _, _ = dirk_step(rhs, 0.0, f0, 1.0, dirk_tableau(order), rhs(0.0, f0),
+                         NewtonConfig(), ToleranceSpec(1e-6, atol=0.0))
     assert abs(f1.values[0]) <= 1e-3
 
 
@@ -229,8 +229,8 @@ def fd_step(order, h, newton):
     lay = GridLayout("fd", 32, 2)
     prob = FdProblem(lay, nu=1.0)
     f0 = prob.initial_condition()
-    f1, _ = dirk_step(prob.rhs, 0.0, f0, h, dirk_tableau(order),
-                      prob.rhs(0.0, f0), newton, ToleranceSpec(1e-6))
+    f1, _, _ = dirk_step(prob.rhs, 0.0, f0, h, dirk_tableau(order),
+                         prob.rhs(0.0, f0), newton, ToleranceSpec(1e-6))
     return f0, f1
 
 
@@ -297,8 +297,8 @@ def test_quiescent_state_is_preserved_exactly():
     def rhs(t, f):
         return StateVector(np.zeros_like(f.values), f.layout)
 
-    f1, err = dirk_step(rhs, 0.0, f0, 0.5, dirk_tableau(2), rhs(0.0, f0),
-                        NewtonConfig(), ToleranceSpec(1e-6))
+    f1, err, _ = dirk_step(rhs, 0.0, f0, 0.5, dirk_tableau(2), rhs(0.0, f0),
+                           NewtonConfig(), ToleranceSpec(1e-6))
     np.testing.assert_array_equal(f1.values, f0.values)
     assert np.all(err.values == 0.0)
 
@@ -340,8 +340,8 @@ def test_fixed_step_convergence_on_diffusion(order, band, kind):
         h = tf / nsteps
         f, t = f0, 0.0
         for _ in range(nsteps):
-            f, _ = dirk_step(prob.rhs, t, f, h, sch, prob.rhs(t, f), newton,
-                             tol)
+            f, _, _ = dirk_step(prob.rhs, t, f, h, sch, prob.rhs(t, f), newton,
+                                tol)
             t += h
         errs.append(np.max(np.abs(f.values - ref)))
     rate = np.log2(errs[-2] / errs[-1])
@@ -366,7 +366,7 @@ def test_nonlinear_decay_keeps_design_order(order):
         h = tf / nsteps
         f, t = StateVector(np.array([1.0]), lay), 0.0
         for _ in range(nsteps):
-            f, _ = dirk_step(rhs, t, f, h, sch, rhs(t, f), newton, tol)
+            f, _, _ = dirk_step(rhs, t, f, h, sch, rhs(t, f), newton, tol)
             t += h
         errs.append(abs(f.values[0] - exact))
     rate = np.log2(errs[-2] / errs[-1])
@@ -421,26 +421,59 @@ def test_nonfinite_stage_derivative_fails_the_newton_residual():
                   NewtonConfig(), ToleranceSpec(1e-6))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_combination_of_finite_stages_raises():
-    # the stage solves converge to finite values, and a tableau that is
-    # not stiffly accurate weighs them past the float range.  Both
-    # shipped tableaus are stiffly accurate, so f_next is the last
-    # stage's solve and the residual check fails first.
-    lay = GridLayout("fd", 1, 1)
+def test_a_tableau_that_is_not_stiffly_accurate_is_refused():
+    # a step ends on its last stage's solve, which is the step's result
+    # only when b = a[-1] and c[-1] = 1
+    a = np.array([[0.0, 0.0], [0.5, 0.5]])
+    b_embedded = np.array([1.0, 0.0])
+    trapezoid = dirk.DirkScheme("trapezoid", 2, 1, a, a[-1].copy(),
+                                b_embedded, c=np.array([0.0, 1.0]))
+    assert trapezoid.s == 2
+    with pytest.raises(ValueError, match="stiffly accurate"):
+        dirk.DirkScheme("wide", 1, 0, a, np.array([1.0, 1.0]), b_embedded,
+                        c=np.array([0.0, 1.0]))
+    half = 0.5 * a
+    with pytest.raises(ValueError, match="stiffly accurate"):
+        dirk.DirkScheme("short", 1, 0, half, half[-1].copy(), b_embedded,
+                        c=np.array([0.0, 0.5]))
+    implicit = np.array([[0.5, 0.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="explicit"):
+        dirk.DirkScheme("implicit", 1, 0, implicit, implicit[-1].copy(),
+                        b_embedded, c=np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
+@pytest.mark.parametrize("order", [2, 3])
+def test_step_ends_on_its_last_stage_solve(order, h):
+    # f_next solves z - h a_ss F(t + h, z) - a_s = 0 to the Newton
+    # tolerance, and g_next is the rhs result at f_next that the step's
+    # last call returned, handed over as it is
+    lay = GridLayout("fd", 32, 2)
+    prob = FdProblem(lay, nu=1.0)
+    f0 = prob.initial_condition()
+    sch = dirk_tableau(order)
+    tol = ToleranceSpec(1e-6)
+    calls = []
 
     def rhs(t, f):
-        return StateVector(np.full(1, 1e308), lay)
+        calls.append((t, f.values.copy(), prob.rhs(t, f)))
+        return calls[-1][2]
 
-    wide = dirk.DirkScheme(
-        "wide", 1, 0, a=np.array([[0.0, 0.0], [0.5, 0.5]]),
-        b=np.array([1.0, 1.0]), b_embedded=np.array([1.0, 0.0]),
-        c=np.array([0.0, 1.0]))
-    f0 = StateVector(np.zeros(1), lay)
-    with pytest.raises(StepFailure, match="non-finite values in DIRK "
-                                          "combination"):
-        dirk_step(rhs, 0.0, f0, 1.0, wide, rhs(0.0, f0), NewtonConfig(),
-                  ToleranceSpec(1e-6))
+    g0 = prob.rhs(0.0, f0)
+    f1, _, g1 = dirk_step(rhs, 0.0, f0, h, sch, g0, NewtonConfig(), tol)
+    t_last, z_last, g_last = calls[-1]
+    assert t_last == h
+    np.testing.assert_array_equal(z_last, f1.values)
+    assert g1.values is g_last.values
+    # a stage's derivative is the last call at its time: the Newton
+    # iteration ends on rhs at its solve, after any product
+    stage_g = [g0.values] + [
+        [g for t, _, g in calls if t == sch.c[i] * h][-1].values
+        for i in range(1, sch.s)]
+    a_s = f0.values + h * (sch.a[-1, :-1] @ np.array(stage_g[:-1]))
+    resid = f1.values - h * sch.a[-1, -1] * g1.values - a_s
+    assert wrms("component", StateVector(resid, lay), f0, tol) \
+        <= NewtonConfig().tol
 
 
 def test_newton_config_validation():

@@ -15,13 +15,13 @@ from stsdiff import (
     make_method,
 )
 from stsdiff.bench import PROBLEMS, sample_times
-from stsdiff.errors import IntegrationAbort
+from stsdiff.errors import IntegrationAbort, StepFailure
 from stsdiff.integrators.sts import STAGE_CAP, stage_count
 from stsdiff.problems import DgProblem, FdProblem
 from stsdiff.domeig import PowerIterConfig, _dq
 from stsdiff.state import wrms
-from stsdiff.timeloop import (H_MIN, MAX_CONSECUTIVE_REJECTIONS, SAFETY,
-                              SHRINK, _start_step)
+from stsdiff.timeloop import (H_MIN, MAX_CONSECUTIVE_REJECTIONS,
+                              METHOD_NAMES, SAFETY, SHRINK, _start_step)
 
 from dense_oracle import dense_expm
 
@@ -646,9 +646,10 @@ class RepeatCounter:
 def test_each_state_right_hand_side_is_evaluated_once(name, kind, n_v, nu,
                                                       norm, run):
     # the drivers evaluate F(t, f) once per state and hand it to the
-    # step, the estimate and the start step, across retries too; an STS
-    # step evaluates F at the state it ends on for its error estimate, so
-    # each accepted STS step but the last is followed by one repeat
+    # step, the estimate and the start step, across retries too; a DIRK
+    # step hands over the F it evaluated at the state it ends on, while
+    # an STS step evaluates F there for its error estimate only, so each
+    # accepted STS step but the last is followed by one repeat
     t_f = 0.05
     prob = RepeatCounter(PROBLEMS[kind](GridLayout(kind, n_v, 2), nu=nu))
     tol = ToleranceSpec(1e-6)
@@ -668,6 +669,85 @@ def test_each_state_right_hand_side_is_evaluated_once(name, kind, n_v, nu,
         assert stats.rejected > 0 and stats.domeig_calls > 1
     want = stats.accepted - 1 if name in ("rkl", "rkc") else 0
     assert prob.repeats == want
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_each_step_returns_its_end_derivative_or_none(name):
+    # step returns (f_next, err, stages, g_next); g_next, when given, is
+    # bitwise F(t + h, f_next), which the loop takes as the next state's F
+    prob = FdProblem(GridLayout("fd", 16, 2), nu=1.0)
+    t, h = 0.1, 1e-4
+    f = prob.initial_condition()
+    out = make_method(name, prob, TOL).step(
+        prob.rhs, t, f, h, 1.2 * prob.lambda_user(), prob.rhs(t, f))
+    assert len(out) == 4
+    f_next, _, _, g_next = out
+    if name.startswith("dirk"):
+        assert g_next is not None
+    if g_next is not None:
+        np.testing.assert_array_equal(g_next.values,
+                                      prob.rhs(t + h, f_next).values)
+
+
+class RecordedEnds:
+    """Wraps a method: ends[k] is None when attempt k raised, else the
+    bytes of the state it returned and the number of rhs calls made by
+    then, read from calls."""
+
+    def __init__(self, method, calls):
+        self.method = method
+        self.calls = calls
+        self.ends = []
+
+    def step(self, *args):
+        try:
+            out = self.method.step(*args)
+        except StepFailure:
+            self.ends.append(None)
+            raise
+        self.ends.append((out[0].values.tobytes(), len(self.calls)))
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.method, name)
+
+
+@pytest.mark.parametrize("run", ["adaptive", "adaptive-h0", "fixed"])
+@pytest.mark.parametrize("name", ["dirk2", "dirk3"])
+def test_a_dirk_run_never_calls_rhs_at_a_state_it_accepted(name, run):
+    # a DIRK step ends on its last stage's solve, whose F it has already
+    # evaluated and hands to the loop for the next step's first stage
+    t_f = 0.05
+    prob = FdProblem(GridLayout("fd", 16, 2), nu=10.0)
+    calls = []
+
+    class Recorded:
+        layout = prob.layout
+        initial_condition = prob.initial_condition
+
+        def rhs(self, t, f):
+            calls.append(f.values.tobytes())
+            return prob.rhs(t, f)
+
+    method = RecordedEnds(make_method(name, prob, TOL), calls)
+    log = []
+    if run == "fixed":
+        _, stats, blew_up = advance_fixed(Recorded(), method, t_f / 20, t_f,
+                                          sample_times(t_f), tol=TOL,
+                                          step_log=log)
+        assert not blew_up
+    else:
+        h0 = t_f if run == "adaptive-h0" else None
+        _, stats = advance_adaptive(Recorded(), method, TOL, "component",
+                                    EIG, ControllerConfig(h0=h0), t_f,
+                                    sample_times(t_f), step_log=log)
+    if run == "adaptive-h0":
+        assert stats.rejected > 0
+    assert len(method.ends) == len(log) == stats.attempted
+    accepted = [end for rec, end in zip(log, method.ends) if rec.accepted]
+    assert len(accepted) == stats.accepted >= 20
+    for state, n_calls in accepted:
+        assert state not in calls[n_calls:]
 
 
 class NanLineProblem(NanProblem):
@@ -753,13 +833,15 @@ class EulerSubsteps:
             g_next = rhs(t + k * dt, StateVector(z, f.layout)).values
             err += 0.5 * dt * (g_next - g_z)
             g_z = g_next
-        return StateVector(z, f.layout), StateVector(err, f.layout), s
+        return (StateVector(z, f.layout), StateVector(err, f.layout), s,
+                StateVector(g_z, f.layout))
 
 
 def test_a_new_method_runs_through_both_drivers_unchanged():
     # the loop asks a method only for its step, order, interval and
     # needs_lambda: a stage count formed inside the step is counted as
-    # the step returns it
+    # the step returns it, and the F it returns at its end is the next
+    # state's
     prob = FdProblem(GridLayout("fd", 16, 1), nu=10.0)
     user = EigPolicy(mode="user")
     [ref] = dense_expm(prob, (0.1,))

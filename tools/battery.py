@@ -28,10 +28,10 @@ a fixed-step row that blows up and one whose eigenvalue estimate aborts.
 At this writing it prints these five lines (digests cut to eight hex
 digits):
 
-    fd/component 102 integrations 61b2cdc0…
-    dg/component 102 integrations ef5c8b6c…
-    dg/cell 102 integrations 98a731d2…
-    306 integrations fc62d479…
+    fd/component 102 integrations fa7df210…
+    dg/component 102 integrations 340bd87c…
+    dg/cell 102 integrations 0cfd2cde…
+    306 integrations 025fddd2…
     6 rows 17fe2f44…
 """
 
