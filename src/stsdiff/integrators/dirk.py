@@ -23,26 +23,30 @@ from ..state import StateVector, ToleranceSpec, is_count, wrms
 class DirkScheme:
     """A tableau with an explicit first stage (a[0] = 0, c[0] = 0) that
     is stiffly accurate (b = a[-1], c[-1] = 1), so a step ends on its
-    last stage's solve; any other tableau raises ValueError."""
+    last stage's solve; any other tableau raises ValueError.  The
+    weights b are the last row of a, not a field of their own."""
 
     name: str
     order: int
     embedded_order: int
     a: np.ndarray
-    b: np.ndarray
     b_embedded: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
         if np.any(self.a[0] != 0.0) or self.c[0] != 0.0:
             raise ValueError(f"{self.name}: the first stage must be explicit")
-        if not np.array_equal(self.b, self.a[-1]) or self.c[-1] != 1.0:
+        if self.c[-1] != 1.0:
             raise ValueError(f"{self.name}: the tableau must be stiffly "
-                             f"accurate, b = a[-1] and c[-1] = 1")
+                             f"accurate, c[-1] = 1")
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.a[-1]
 
     @property
     def s(self) -> int:
-        return len(self.b)
+        return len(self.a)
 
 
 def _dirk2() -> DirkScheme:
@@ -54,9 +58,8 @@ def _dirk2() -> DirkScheme:
         [g, g, 0.0],
         [d, d, g],
     ])
-    b = a[-1].copy()
     b_embedded = np.array([0.8 - d, 0.8 - d, np.sqrt(2.0) / 2.0 - 0.6])
-    return DirkScheme("dirk2", 2, 1, a, b, b_embedded,
+    return DirkScheme("dirk2", 2, 1, a, b_embedded,
                       c=np.array([0.0, 2.0 * g, 1.0]))
 
 
@@ -72,7 +75,6 @@ def _dirk3() -> DirkScheme:
         [105229.0 / 643500.0, 75157.0 / 182160.0, -606297.0 / 2783000.0,
          52443.0 / 125840.0, g],
     ])
-    b = a[-1].copy()
     b_embedded = np.array([
         76200953.0 / 340879500.0,
         37165949.0 / 96495120.0,
@@ -81,7 +83,7 @@ def _dirk3() -> DirkScheme:
         30843.0 / 233080.0,
     ])
     c = np.array([0.0, 9.0 / 20.0, 5.0 / 6.0, 13.0 / 20.0, 1.0])
-    return DirkScheme("dirk3", 3, 2, a, b, b_embedded, c)
+    return DirkScheme("dirk3", 3, 2, a, b_embedded, c)
 
 
 DIRK_SCHEMES = {2: _dirk2(), 3: _dirk3()}

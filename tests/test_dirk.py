@@ -423,23 +423,23 @@ def test_nonfinite_stage_derivative_fails_the_newton_residual():
 
 def test_a_tableau_that_is_not_stiffly_accurate_is_refused():
     # a step ends on its last stage's solve, which is the step's result
-    # only when b = a[-1] and c[-1] = 1
+    # only when b = a[-1] (so b is derived from a) and c[-1] = 1
     a = np.array([[0.0, 0.0], [0.5, 0.5]])
     b_embedded = np.array([1.0, 0.0])
-    trapezoid = dirk.DirkScheme("trapezoid", 2, 1, a, a[-1].copy(),
-                                b_embedded, c=np.array([0.0, 1.0]))
+    trapezoid = dirk.DirkScheme("trapezoid", 2, 1, a, b_embedded,
+                                c=np.array([0.0, 1.0]))
     assert trapezoid.s == 2
+    np.testing.assert_array_equal(trapezoid.b, a[-1])
     with pytest.raises(ValueError, match="stiffly accurate"):
-        dirk.DirkScheme("wide", 1, 0, a, np.array([1.0, 1.0]), b_embedded,
-                        c=np.array([0.0, 1.0]))
+        dirk.DirkScheme("wide", 1, 0, a, b_embedded, c=np.array([0.0, 2.0]))
     half = 0.5 * a
     with pytest.raises(ValueError, match="stiffly accurate"):
-        dirk.DirkScheme("short", 1, 0, half, half[-1].copy(), b_embedded,
+        dirk.DirkScheme("short", 1, 0, half, b_embedded,
                         c=np.array([0.0, 0.5]))
     implicit = np.array([[0.5, 0.0], [0.5, 0.5]])
     with pytest.raises(ValueError, match="explicit"):
-        dirk.DirkScheme("implicit", 1, 0, implicit, implicit[-1].copy(),
-                        b_embedded, c=np.array([0.5, 1.0]))
+        dirk.DirkScheme("implicit", 1, 0, implicit, b_embedded,
+                        c=np.array([0.5, 1.0]))
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2])

@@ -1,19 +1,18 @@
 """A/B comparison of two checkouts on the benchmark, in alternated pairs.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR TOPIC \
-        [--first-seed 301] [--pairs 20] [--workloads a,b] [--seconds S] \
-        [--out BENCH_TOPIC.json] [--about TEXT] [--note TEXT]
+        [--about TEXT] [--note TEXT]
 
-Pair k runs `python3 perfbench/run.py --workload W --seed N --seconds S
---trace 0` once in each checkout, seed N = first_seed + k, for every
-workload.  Each run is a fresh process, started only after the one
-before it ended (run.py pins one BLAS thread); the parent runs first
+Pair k of PAIRS = 20 runs `python3 perfbench/run.py --workload W --seed N
+--seconds S --trace 0` once in each checkout, seed N = FIRST_SEED + k,
+for every workload.  Each run is a fresh process, started only after the
+one before it ended (run.py pins one BLAS thread); the parent runs first
 in even pairs and second in odd ones, so drift in the machine's speed
-falls on both sides alike.  The workloads, the default seconds and each
+falls on both sides alike.  The workloads, the run length S and each
 end-to-end metric's `better` direction come from CHANGE_DIR's
 BENCHMARK.json.
 
-The output, `BENCH_<TOPIC>.json` unless --out says otherwise, records
+The output, `BENCH_<TOPIC>.json` in the working directory, records
 what the change is (--about), the protocol (with --note appended), the
 machine and, per workload and metric, both sides' runs with their
 min, quartiles and median, and how many pairs the change won (ties
@@ -36,6 +35,8 @@ import time
 from pathlib import Path
 
 BLAS_THREADS = 1         # what perfbench/run.py pins, recorded
+FIRST_SEED = 301         # seeds FIRST_SEED .. FIRST_SEED + PAIRS - 1
+PAIRS = 20
 SIDES = ("parent", "change")
 # `label seed=N err=E bound=B rhs=R rej=J t=Ts`, one line per op
 OP_LINE = re.compile(r"(?P<label>\S+)\s+seed=\d+\s+err=(?P<err>\S+) "
@@ -141,26 +142,16 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("topic")
-    ap.add_argument("--first-seed", type=int, default=301)
-    ap.add_argument("--pairs", type=int, default=20)
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated; default every declared workload")
-    ap.add_argument("--seconds", type=float, default=None)
-    ap.add_argument("--out", type=Path, default=None)
     ap.add_argument("--about", default=None,
                     help="what the change is; default TOPIC")
     ap.add_argument("--note", default="", help="appended to the protocol")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.first_seed < 0:
-        ap.error("--pairs must be at least 1 and --first-seed non-negative")
     manifest = json.loads((args.change / "BENCHMARK.json").read_text())
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in manifest["workloads"]])
+    names = [w["name"] for w in manifest["workloads"]]
     metrics = {m["name"]: m["better"] for m in manifest["end_to_end"]}
-    seconds = (args.seconds if args.seconds is not None
-               else manifest["run_seconds"])
-    out = args.out or Path(f"BENCH_{args.topic}.json")
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seconds = manifest["run_seconds"]
+    out = Path(f"BENCH_{args.topic}.json")
+    seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {name: {s: [] for s in SIDES} for name in names}
     for k, seed in enumerate(seeds):
