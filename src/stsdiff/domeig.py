@@ -14,17 +14,19 @@ from .errors import StepFailure
 from .state import GridLayout, StateVector, ToleranceSpec, is_count, wrms
 
 
+# an estimate that has not met its tau stop after this many iterations
+# did not converge
+MAX_POWER_ITERS = 100
+
+
 @dataclass(frozen=True)
 class PowerIterConfig:
     tau: float = 0.1
-    max_iters: int = 100
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if not is_count(self.max_iters, 2):
-            raise ValueError("max_iters must be an integer of at least 2")
         if not is_count(self.seed, 0):
             raise ValueError("seed must be a non-negative integer")
 
@@ -122,7 +124,7 @@ def power_iterate(rhs, t: float, f: StateVector, g: StateVector,
         return DomEigEstimate(0.0, 0, True)
     lam = 0.0
     lam_prev = None
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, MAX_POWER_ITERS + 1):
         w = _dq(rhs, t, f, g.values, v, f, tol, "component")
         if not np.all(np.isfinite(w)):
             raise StepFailure("non-finite values in power iteration product")
@@ -135,5 +137,5 @@ def power_iterate(rhs, t: float, f: StateVector, g: StateVector,
             return DomEigEstimate(lam, k, True)
         v = w / wnorm
         lam_prev = lam
-    return DomEigEstimate(lam, cfg.max_iters, False)
+    return DomEigEstimate(lam, MAX_POWER_ITERS, False)
 

@@ -9,14 +9,13 @@ operator I - h A_ii J is symmetric positive definite and CG applies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..domeig import _dq
 from ..errors import StepFailure
-from ..state import StateVector, ToleranceSpec, is_count, wrms
+from ..state import StateVector, ToleranceSpec, wrms
 
 
 @dataclass(frozen=True)
@@ -89,36 +88,21 @@ def _dirk3() -> DirkScheme:
 DIRK_SCHEMES = {2: _dirk2(), 3: _dirk3()}
 
 
-def dirk_tableau(order: int) -> DirkScheme:
-    try:
-        return DIRK_SCHEMES[order]
-    except KeyError:
-        raise ValueError(f"no DIRK scheme of order {order}; choose 2 or 3")
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol: float = 1e-2
-    max_newton: int = 10
-    max_cg: int = 200
-    cg_tol_factor: float = 0.1
-
-    def __post_init__(self):
-        if not (0.0 < self.tol < math.inf
-                and 0.0 < self.cg_tol_factor < math.inf):
-            raise ValueError("solver tolerances must be positive and finite")
-        if not is_count(self.max_newton, 0):
-            raise ValueError("max_newton must be a non-negative integer")
-        if not is_count(self.max_cg, 0):
-            raise ValueError("max_cg must be a non-negative integer")
+# the stage solves: Newton stops at WRMS residual NEWTON_TOL or fails
+# after MAX_NEWTON solves, each solve a CG run to relative residual
+# CG_TOL_FACTOR * NEWTON_TOL in at most MAX_CG iterations
+NEWTON_TOL = 1e-2
+MAX_NEWTON = 10
+MAX_CG = 200
+CG_TOL_FACTOR = 0.1
 
 
 def cg_solve(apply_A, rhs_vec: np.ndarray, tol: float,
-             max_iters: int) -> np.ndarray:
+             max_cg: int) -> np.ndarray:
     """Conjugate gradients on an SPD operator, run to relative residual
     tol.  Raises StepFailure at the first curvature p.Ap that is
     non-finite or not positive, or when tol is not reached within
-    max_iters."""
+    max_cg."""
     bnorm = np.linalg.norm(rhs_vec)
     if bnorm == 0.0:
         return np.zeros_like(rhs_vec)
@@ -126,7 +110,7 @@ def cg_solve(apply_A, rhs_vec: np.ndarray, tol: float,
     r = rhs_vec.copy()
     p = r.copy()
     rr = float(np.dot(r, r))
-    for _ in range(max_iters):
+    for _ in range(max_cg):
         ap = apply_A(p)
         pap = float(np.dot(p, ap))
         if not np.isfinite(pap):
@@ -142,12 +126,12 @@ def cg_solve(apply_A, rhs_vec: np.ndarray, tol: float,
             return x
         p = r + (rr_new / rr) * p
         rr = rr_new
-    raise StepFailure(f"no convergence within {max_iters} CG iterations")
+    raise StepFailure(f"no convergence within {max_cg} CG iterations")
 
 
 def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
-              scheme: DirkScheme, g_n: StateVector, newton: NewtonConfig,
-              tol: ToleranceSpec, norm_kind: str = "component"):
+              scheme: DirkScheme, g_n: StateVector, tol: ToleranceSpec,
+              norm_kind: str = "component"):
     """One DIRK step; returns (f_next, error_estimate, g_next).
 
     Stage 0 of both tableaus is explicit, a[0, :] = 0 and c[0] = 0, so
@@ -168,7 +152,7 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
     gs[0] = g_n.values
     if not np.all(np.isfinite(gs[0])):
         raise StepFailure("non-finite derivative at the step's start")
-    cg_tol = newton.cg_tol_factor * newton.tol
+    cg_tol = CG_TOL_FACTOR * NEWTON_TOL
 
     for i in range(1, s):
         t_i = t_n + scheme.c[i] * h
@@ -177,25 +161,25 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
         z = a_i + h * aii * gs[i - 1]
         g_z = rhs(t_i, StateVector(z, lay)).values
         # the residual is checked before the first solve and after every
-        # solve, so max_newton bounds the number of solves
-        for n_solves in range(newton.max_newton + 1):
+        # solve, so MAX_NEWTON bounds the number of solves
+        for n_solves in range(MAX_NEWTON + 1):
             resid = z - h * aii * g_z - a_i
             rnorm = wrms(norm_kind, StateVector(resid, lay), f_n, tol)
             if not np.isfinite(rnorm):
                 raise StepFailure("non-finite Newton residual")
-            if rnorm <= newton.tol:
+            if rnorm <= NEWTON_TOL:
                 break
-            if n_solves == newton.max_newton:
+            if n_solves == MAX_NEWTON:
                 raise StepFailure(
-                    f"Newton did not reach tolerance {newton.tol} within "
-                    f"{newton.max_newton} iterations")
+                    f"Newton did not reach tolerance {NEWTON_TOL} within "
+                    f"{MAX_NEWTON} iterations")
 
             def apply_op(v, z=StateVector(z, lay), g_z=g_z, aii=aii,
                          t_i=t_i):
                 return v - h * aii * _dq(rhs, t_i, z, g_z, v, f_n, tol,
                                          norm_kind)
 
-            z = z + cg_solve(apply_op, -resid, cg_tol, newton.max_cg)
+            z = z + cg_solve(apply_op, -resid, cg_tol, MAX_CG)
             g_z = rhs(t_i, StateVector(z, lay)).values
         gs[i] = g_z
 

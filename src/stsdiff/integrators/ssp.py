@@ -157,13 +157,6 @@ def _ssp4() -> ShuOsherScheme:
 SSP_SCHEMES = {2: _ssp2(), 3: _ssp3(), 4: _ssp4()}
 
 
-def ssp_scheme(order: int) -> ShuOsherScheme:
-    try:
-        return SSP_SCHEMES[order]
-    except KeyError:
-        raise ValueError(f"no SSP scheme of order {order}; choose 2, 3 or 4")
-
-
 def ssp_step(rhs, t_n: float, f_n: StateVector, h: float,
              scheme: ShuOsherScheme, g_n: StateVector):
     """One SSP step; returns (f_next, error_estimate) where the estimate

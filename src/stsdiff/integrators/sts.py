@@ -155,14 +155,14 @@ def stage_count(h: float, lambda_eff: float, family: str) -> int:
     target = h * lambda_eff
     if target <= stability_interval(family, 2):
         return 2
+    if target > stability_interval(family, STAGE_CAP):
+        raise StepFailure(
+            f"step needs more than {STAGE_CAP} stages "
+            f"(h*lambda = {target:.3g}); reduce the step size")
     # both families scale as ~0.65 s^2; start near the answer and walk
     s = max(2, int(np.sqrt(target / 0.65)) - 2)
     while stability_interval(family, s) < target:
         s += 1
-        if s > STAGE_CAP:
-            raise StepFailure(
-                f"step needs more than {STAGE_CAP} stages "
-                f"(h*lambda = {target:.3g}); reduce the step size")
     while s > 2 and stability_interval(family, s - 1) >= target:
         s -= 1
     return s

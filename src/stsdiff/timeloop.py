@@ -36,8 +36,8 @@ import numpy as np
 
 from .domeig import PowerIterConfig, _dq, power_iterate, warn_if_unsafe
 from .errors import IntegrationAbort, StepFailure
-from .integrators.dirk import NewtonConfig, dirk_step, dirk_tableau
-from .integrators.ssp import ssp_scheme, ssp_step
+from .integrators.dirk import DIRK_SCHEMES, dirk_step
+from .integrators.ssp import SSP_SCHEMES, ssp_step
 from .integrators.sts import (
     STAGE_CAP,
     hermite_error,
@@ -175,7 +175,7 @@ class _SspMethod:
 
     def __init__(self, name: str, order: int):
         self.name = name
-        self.scheme = ssp_scheme(order)
+        self.scheme = SSP_SCHEMES[order]
         self.order = order
         self.interval = self.scheme.real_axis_bound
 
@@ -188,19 +188,18 @@ class _DirkMethod:
     needs_lambda = False
     interval = math.inf
 
-    def __init__(self, name: str, order: int, newton: NewtonConfig,
-                 tol: ToleranceSpec, norm_kind: str):
+    def __init__(self, name: str, order: int, tol: ToleranceSpec,
+                 norm_kind: str):
         self.name = name
-        self.scheme = dirk_tableau(order)
+        self.scheme = DIRK_SCHEMES[order]
         self.order = order
-        self.newton = newton
         self.tol = tol
         self.norm_kind = norm_kind
 
     def step(self, rhs, t, f, h, lam_eff, g):
         f_next, err, g_next, s = _counted(
             self.scheme.s, dirk_step, rhs, t, f, h, self.scheme, g,
-            self.newton, self.tol, self.norm_kind)
+            self.tol, self.norm_kind)
         return f_next, err, s, g_next
 
 
@@ -208,8 +207,7 @@ METHOD_NAMES = ("rkl", "rkc", "ssp2", "ssp3", "ssp4", "dirk2", "dirk3")
 
 
 def make_method(name: str, problem, tol: ToleranceSpec,
-                norm_kind: str = "component",
-                newton: NewtonConfig | None = None):
+                norm_kind: str = "component"):
     """The named method; problem is unused, as every method runs on both."""
     if name == "rkl":
         return _StsMethod(name, "rkl2", rkl2_coefficients)
@@ -218,8 +216,7 @@ def make_method(name: str, problem, tol: ToleranceSpec,
     if name in ("ssp2", "ssp3", "ssp4"):
         return _SspMethod(name, int(name[-1]))
     if name in ("dirk2", "dirk3"):
-        return _DirkMethod(name, int(name[-1]), newton or NewtonConfig(),
-                           tol, norm_kind)
+        return _DirkMethod(name, int(name[-1]), tol, norm_kind)
     raise ValueError(f"unknown method {name!r}; choose from {METHOD_NAMES}")
 
 

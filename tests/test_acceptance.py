@@ -24,7 +24,8 @@ import pytest
 from stsdiff.bench import (ExperimentConfig, build_problem, compute_reference,
                            run_experiment, sample_times, CSV_COLUMNS)
 from stsdiff.domeig import _dq, power_iterate, PowerIterConfig
-from stsdiff.integrators.dirk import NewtonConfig, cg_solve, dirk_tableau
+from stsdiff.integrators import dirk
+from stsdiff.integrators.dirk import DIRK_SCHEMES, cg_solve
 from stsdiff.integrators.sts import (rkl2_coefficients, rkc2_coefficients,
                                      stability_interval, sts_step)
 from stsdiff.state import GridLayout, StateVector, ToleranceSpec
@@ -59,12 +60,12 @@ def _dominant(prob):
 # 1. fixed-step temporal orders
 
 
-def _fixed_step_errors(name, prob, h0, t_f, newton=None):
+def _fixed_step_errors(name, prob, h0, t_f):
     [ref] = dense_expm(prob, (t_f,))
     tol = ToleranceSpec(1e-6)
     errs = []
     for k in range(5):
-        method = make_method(name, prob, tol, newton=newton)
+        method = make_method(name, prob, tol)
         samples, _, blew = advance_fixed(
             prob, method, h0 / 2**k, t_f, (t_f,), tol,
             EigPolicy(q_lambda=1.2, refresh="once"))
@@ -97,7 +98,7 @@ def _observed_order(errs):
     return float(np.mean(rates[-2:]))
 
 
-def test_01_fixed_step_temporal_orders():
+def test_01_fixed_step_temporal_orders(monkeypatch):
     """All seven integrators converge at their design order (+/- 0.2)
     over four step halvings started from a stable step."""
     start = time.perf_counter()
@@ -105,8 +106,6 @@ def test_01_fixed_step_temporal_orders():
     p16 = _problem("fd", 1.0, 16, 1)
     lam16 = _dominant(p16)
     ssp_bound = {"ssp2": 2.0, "ssp3": 5.1495, "ssp4": 13.9170}
-    newton = NewtonConfig(tol=1e-6, max_newton=30, max_cg=400,
-                          cg_tol_factor=1e-2)
     expected = {"rkl": 2, "rkc": 2, "ssp2": 2, "ssp3": 3, "ssp4": 4,
                 "dirk2": 2, "dirk3": 3}
     observed = {}
@@ -118,9 +117,14 @@ def test_01_fixed_step_temporal_orders():
         h0 = 0.8 * bound / (1.2 * lam16)
         observed[name] = _observed_order(
             _fixed_step_errors(name, p16, h0, 8 * h0))
+    # a tight Newton-CG solve, so that DIRK's error is its truncation
+    # error
+    for name, value in (("NEWTON_TOL", 1e-6), ("MAX_NEWTON", 30),
+                        ("MAX_CG", 400), ("CG_TOL_FACTOR", 1e-2)):
+        monkeypatch.setattr(dirk, name, value)
     for name in ("dirk2", "dirk3"):
         observed[name] = _observed_order(
-            _fixed_step_errors(name, p16, 0.1, 0.8, newton=newton))
+            _fixed_step_errors(name, p16, 0.1, 0.8))
     elapsed = time.perf_counter() - start
     detail = " ".join(f"{k}={v:.2f}" for k, v in observed.items())
     ok = all(abs(observed[k] - expected[k]) <= 0.2 for k in expected)
@@ -560,7 +564,7 @@ def test_10_oracle_equivalences():
 
     prob = _problem("fd", 1.0, 32, 4)
     a = prob.assemble_matrix()
-    gamma = dirk_tableau(3).a[-1, -1]
+    gamma = DIRK_SCHEMES[3].a[-1, -1]
     h = 0.1
     op = np.eye(a.shape[0]) - h * gamma * a
     rng = np.random.default_rng(12)

@@ -399,7 +399,7 @@ def test_abort_becomes_status_row(tmp_path, monkeypatch):
 
 
 def test_aborted_point_keeps_its_work(tmp_path):
-    # at tau = 1e-9 the estimate does not converge within max_iters =
+    # at tau = 1e-9 the estimate does not converge within MAX_POWER_ITERS =
     # 100 products; the row still reports the work done before the abort
     cfg = small_cfg(tmp_path, problem="dg", n_v=16, n_x=2, tau=1e-9,
                     eig_mode="power")
@@ -410,10 +410,11 @@ def test_aborted_point_keeps_its_work(tmp_path):
     assert row["runtime_s"] > 0.0
 
 
-def test_steps_past_stage_cap_still_return_rows(tmp_path):
+@pytest.mark.parametrize("method", ["rkl", "rkc"])
+def test_steps_past_stage_cap_still_return_rows(tmp_path, method):
     # at nu = 1e7 even the 0.025 steps need more than STAGE_CAP stages
-    cfg = small_cfg(tmp_path, problem="dg", n_v=16, n_x=1, nu=1e7, rtol=(),
-                    fixed_h=(0.025, 0.05), eig_mode="user")
+    cfg = small_cfg(tmp_path, problem="dg", method=method, n_v=16, n_x=1,
+                    nu=1e7, rtol=(), fixed_h=(0.025, 0.05), eig_mode="user")
     rows = run_experiment(cfg)
     assert [r["status"] for r in rows] == ["blew_up", "blew_up"]
     assert all(np.isnan(r["error_Linf20"]) for r in rows)

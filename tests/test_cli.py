@@ -125,7 +125,7 @@ def test_every_flag_is_backed_by_a_config_field():
 
 def test_unconverged_estimate_aborts_its_point_only(tmp_path):
     # at tau = 1e-9 the power iteration does not converge within
-    # max_iters: the power row records an abort, the user row stands
+    # MAX_POWER_ITERS: the power row records an abort, the user row stands
     out = tmp_path / "tau.csv"
     rc = main(["study", "eigmode", "--problem", "dg", "--nv", "16", "--nx",
                "2", "--tau", "1e-9", "--rtol", "1e-3", "--q-lambda", "1.2",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stsdiff.errors import StepFailure
-from stsdiff.integrators.ssp import SSP_SCHEMES, ssp_scheme, ssp_step
+from stsdiff.integrators.ssp import SSP_SCHEMES, ssp_step
 from stsdiff.problems.fd import FdProblem
 from stsdiff.state import GridLayout, StateVector
 
@@ -46,15 +46,13 @@ def scalar_amp(scheme, z):
 
 class TestSchemes:
     def test_selector(self):
-        assert ssp_scheme(2).s == 2
-        assert ssp_scheme(3).s == 4
-        assert ssp_scheme(4).s == 10
-        with pytest.raises(ValueError):
-            ssp_scheme(5)
+        assert SSP_SCHEMES[2].s == 2
+        assert SSP_SCHEMES[3].s == 4
+        assert SSP_SCHEMES[4].s == 10
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_convexity_and_nonnegativity(self, order):
-        sch = ssp_scheme(order)
+        sch = SSP_SCHEMES[order]
         for alpha, beta in sch.rows:
             assert sum(alpha.values()) == pytest.approx(1.0, rel=1e-14)
             assert all(w >= 0 for w in alpha.values())
@@ -71,7 +69,7 @@ class TestSchemes:
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_solution_weights_satisfy_order(self, order):
-        sch = ssp_scheme(order)
+        sch = SSP_SCHEMES[order]
         A, b, c = sch.butcher()
         want_b, want_c = self.PUBLISHED[order]
         np.testing.assert_allclose(b, want_b, atol=1e-14)
@@ -83,7 +81,7 @@ class TestSchemes:
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_embedding_one_order_lower(self, order):
-        sch = ssp_scheme(order)
+        sch = SSP_SCHEMES[order]
         A, _, c = sch.butcher()
         bt = sch.b_embedded
         assert sch.embedded_order == order - 1
@@ -94,7 +92,7 @@ class TestSchemes:
     def test_ssp4_error_weights_exactly_zero_where_weights_agree(self):
         # b = 1/10 and b_embedded = 10/100 at stages 4 and 6-10; weights
         # derived from float rows left b - b_embedded at -1.4e-17 there
-        sch = ssp_scheme(4)
+        sch = SSP_SCHEMES[4]
         _, b, _ = sch.butcher()
         d = b - sch.b_embedded
         zero = np.array([4, 6, 7, 8, 9, 10]) - 1
@@ -102,9 +100,9 @@ class TestSchemes:
         assert np.all(np.delete(d, zero) != 0.0)
 
     def test_ssp_coefficients(self):
-        assert ssp_scheme(2).ssp_coefficient() == pytest.approx(1.0)
-        assert ssp_scheme(3).ssp_coefficient() == pytest.approx(2.0)
-        assert ssp_scheme(4).ssp_coefficient() == pytest.approx(6.0)
+        assert SSP_SCHEMES[2].ssp_coefficient() == pytest.approx(1.0)
+        assert SSP_SCHEMES[3].ssp_coefficient() == pytest.approx(2.0)
+        assert SSP_SCHEMES[4].ssp_coefficient() == pytest.approx(6.0)
 
 
 class TestStep:
@@ -122,14 +120,14 @@ class TestStep:
 
     def test_ssp2_amplification(self):
         for z in (-2.0, -1.0, -0.5, -0.1):
-            assert scalar_amp(ssp_scheme(2), z) == pytest.approx(
+            assert scalar_amp(SSP_SCHEMES[2], z) == pytest.approx(
                 1.0 + z + 0.5 * z * z, abs=1e-15)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_rhs_call_count_equals_stages(self, order):
         # stage 1 is f_n, whose derivative the caller supplies; the step
         # reads it, never writes it, and pays for the other s - 1 stages
-        sch = ssp_scheme(order)
+        sch = SSP_SCHEMES[order]
         calls = {"n": 0}
 
         def rhs(t, u):
@@ -152,7 +150,7 @@ class TestStep:
 
         t_n, h = 0.3, 0.25
         f = StateVector(np.array([1.0, 2.0]), lay)
-        out, err = ssp_step(rhs, t_n, f, h, ssp_scheme(2), rhs(t_n, f))
+        out, err = ssp_step(rhs, t_n, f, h, SSP_SCHEMES[2], rhs(t_n, f))
         want = f.values + a * h + 0.5 * b * ((t_n + h)**2 - t_n**2)
         np.testing.assert_allclose(out.values, want, rtol=1e-14)
         # the embedding is first order, so the estimate is driven purely
@@ -164,7 +162,7 @@ class TestStep:
         p = FdProblem(GridLayout("fd", 16, 1), 1.0)
         rng = np.random.default_rng(0)
         f = StateVector(rng.uniform(0.5, 1.5, 16), p.layout)
-        sch = ssp_scheme(order)
+        sch = SSP_SCHEMES[order]
         A, b, c = sch.butcher()
         t_n, h = 0.1, 1e-3
         ks = []
@@ -185,19 +183,19 @@ class TestStep:
 
         f = StateVector(np.ones(1), LAY1)
         with pytest.raises(StepFailure):
-            ssp_step(rhs, 0.0, f, 0.1, ssp_scheme(3), rhs(0.0, f))
+            ssp_step(rhs, 0.0, f, 0.1, SSP_SCHEMES[3], rhs(0.0, f))
 
 
 class TestStability:
     def test_ssp2_boundary_at_two(self):
-        assert abs(scalar_amp(ssp_scheme(2), -2.0)) <= 1.0 + 1e-14
-        assert abs(scalar_amp(ssp_scheme(2), -2.1)) > 1.0
+        assert abs(scalar_amp(SSP_SCHEMES[2], -2.0)) <= 1.0 + 1e-14
+        assert abs(scalar_amp(SSP_SCHEMES[2], -2.1)) > 1.0
 
     def test_real_axis_bounds(self):
         # frozen from a bisection sweep of the scalar amplification
         bounds = {2: 2.0, 3: 5.149, 4: 13.917}
         for order, bound in bounds.items():
-            sch = ssp_scheme(order)
+            sch = SSP_SCHEMES[order]
             zs = np.linspace(-bound, 0.0, 400)
             assert max(abs(scalar_amp(sch, z)) for z in zs) <= 1.0 + 1e-10
             assert abs(scalar_amp(sch, -(bound * 1.05))) > 1.0
@@ -205,7 +203,7 @@ class TestStability:
     def test_real_axis_bound_from_butcher_arrays(self):
         bounds = {2: 2.0, 3: 5.149, 4: 13.917}
         for order, bound in bounds.items():
-            assert abs(ssp_scheme(order).real_axis_bound - bound) <= 1e-3
+            assert abs(SSP_SCHEMES[order].real_axis_bound - bound) <= 1e-3
 
 
 class TestAccuracy:

@@ -4,6 +4,7 @@ import pytest
 from stsdiff.errors import StepFailure
 from stsdiff.integrators.sts import (
     RKC_DAMPING,
+    STAGE_CAP,
     _chebyshev_table,
     hermite_error,
     rkc2_coefficients,
@@ -218,6 +219,16 @@ class TestStageCount:
     def test_cap(self):
         with pytest.raises(StepFailure, match="reduce the step size"):
             stage_count(1.0, 1e9, "rkl2")
+
+    @pytest.mark.parametrize("family", ["rkl2", "rkc2"])
+    def test_cap_holds_at_and_past_the_cap_interval(self, family):
+        # RKC2's start guess covers the target past about 5e5 on its
+        # own, so the cap must hold without any upward walk
+        edge = stability_interval(family, STAGE_CAP)
+        assert stage_count(1.0, edge, family) == STAGE_CAP
+        for factor in (1.0001, 100.0):
+            with pytest.raises(StepFailure, match="reduce the step size"):
+                stage_count(1.0, factor * edge, family)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

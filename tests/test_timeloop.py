@@ -413,11 +413,12 @@ def test_adaptive_ssp_steps_stay_inside_stability_interval(norm):
     assert max(r.h * lam_true for r in log if r.accepted) <= 13.917
 
 
-def test_fixed_step_past_stage_cap_flags_blow_up_instead_of_raising():
+@pytest.mark.parametrize("name", ["rkl", "rkc"])
+def test_fixed_step_past_stage_cap_flags_blow_up_instead_of_raising(name):
     # h * lambda_eff = 6.7e7 needs more than STAGE_CAP stages
     dg = DgProblem(GridLayout("dg", 120, 4), nu=2000.0)
     samples, stats, blew = advance_fixed(
-        dg, make_method("rkl", dg, TOL), 0.5, 1.0, (), tol=TOL,
+        dg, make_method(name, dg, TOL), 0.5, 1.0, (), tol=TOL,
         eig=EigPolicy(mode="user"))
     assert blew
     assert stats.attempted == 1 and stats.accepted == 0
