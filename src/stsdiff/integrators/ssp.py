@@ -12,11 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import StepFailure
 from ..state import StateVector
+
+
+class _Row(NamedTuple):
+    """One Shu-Osher row as ssp_step runs it.  A key names what the row
+    reads: j > 0 is stage j's value and -j its derivative F_j."""
+
+    evals: tuple    # (j, c_j, d_j, starts_err) per F_j first read here
+    head: tuple     # (key, w), the first alpha term
+    terms: tuple    # (key, w, times_h) for the other terms, in row order
+    last: tuple | None  # (key, w) of a fresh F_j that no later row reads
+    drops: tuple    # keys that no later row reads
 
 
 @dataclass(frozen=True)
@@ -73,21 +85,47 @@ class ShuOsherScheme:
         return arrays
 
     @cached_property
-    def _float_rows(self) -> tuple:
-        """The rows with float weights, as ssp_step evaluates them."""
-        return tuple(({j: float(w) for j, w in alpha.items()},
-                      {j: float(w) for j, w in beta.items()})
-                     for alpha, beta in self.rows)
+    def _plan(self) -> tuple:
+        """The rows compiled once for ssp_step, one _Row each.
 
-    @cached_property
-    def _drops(self) -> tuple:
-        """drops[i]: the stages that no row after row i reads."""
-        last = {}
+        A row evaluates the derivatives it is the first to read, each
+        with its abscissa c_j and error weight d_j = b_j - b_embedded_j;
+        the first nonzero d_j starts the estimate.  Its terms keep the
+        row's order, alpha then beta, with float weights.  A last term
+        whose derivative the row evaluates and no later row reads is
+        held apart: the step scales that derivative in place and adds
+        the rest of the row into it.
+        """
+        _, b, c = self.butcher()
+        d = b - self.b_embedded
+        last_read = {}
         for i, (alpha, beta) in enumerate(self.rows):
-            for j in (*alpha, *beta):
-                last[j] = i
-        return tuple(tuple(j for j, k in last.items() if k == i)
-                     for i in range(self.s))
+            for k in (*alpha, *(-j for j in beta)):
+                last_read[k] = i
+        plan, evaluated, started = [], set(), False
+        for i, (alpha, beta) in enumerate(self.rows):
+            fresh = [j for j in beta if j not in evaluated]
+            evaluated.update(fresh)
+            evals = []
+            for j in fresh:
+                dj = float(d[j - 1])
+                evals.append((j, float(c[j - 1]), dj,
+                              bool(dj) and not started))
+                started = started or bool(dj)
+            (k0, w0, _), *terms = (
+                [(k, float(w), False) for k, w in alpha.items()]
+                + [(-j, float(w), True) for j, w in beta.items()])
+            last = None
+            if terms:
+                k, w, _ = terms[-1]
+                # F_1 is the caller's g_n, which the step only reads
+                if -k in fresh and k != -1 and last_read[k] == i:
+                    last = (k, w)
+                    terms.pop()
+            plan.append(_Row(tuple(evals), (k0, w0), tuple(terms), last,
+                             tuple(k for k, r in last_read.items()
+                                   if r == i)))
+        return tuple(plan)
 
     @cached_property
     def real_axis_bound(self) -> float:
@@ -164,37 +202,51 @@ def ssp_step(rhs, t_n: float, f_n: StateVector, h: float,
 
     Stage 1 is f_n itself, and its derivative is g_n = rhs(t_n, f_n),
     which the caller supplies and the step only reads; so an s-stage
-    step costs s - 1 right-hand-side calls.
+    step costs s - 1 right-hand-side calls.  Every other rhs call must
+    return a new array that the caller owns: the step may scale it in
+    place.
 
-    Each row's combination starts from its first alpha term, a stage
-    value or derivative is dropped after the last row that reads it, and
-    stages whose solution and embedded weights agree add nothing to the
+    The step runs the scheme's compiled rows (ShuOsherScheme._plan) in
+    row order, with the floating-point operations of a term-by-term
+    evaluation: a unit first weight is exact, so that term is read, not
+    multiplied, and a fresh derivative that no later row reads is scaled
+    in place, since fl(w F) + z equals z + fl(w F).  A stage value or
+    derivative is dropped after the last row that reads it, and stages
+    whose solution and embedded weights agree add nothing to the
     estimate.
     """
     lay = f_n.layout
-    _, b, c = scheme.butcher()
-    d = b - scheme.b_embedded
-    live = {1: f_n.values}
-    fs = {}
-    err = np.zeros(lay.n_dof)
-    for i, (alpha, beta) in enumerate(scheme._float_rows):
-        for j in beta:
-            if j not in fs:
-                fj = g_n.values if j == 1 else rhs(
-                    t_n + c[j - 1] * h, StateVector(live[j], lay)).values
-                if d[j - 1]:
-                    err += d[j - 1] * fj
-                fs[j] = fj
-        (j0, w0), *rest = alpha.items()
-        z = w0 * live[j0]
-        for j, w in rest:
-            z += w * live[j]
-        for j, w in beta.items():
-            z += (h * w) * fs[j]
-        for j in scheme._drops[i]:
-            del live[j]
-            fs.pop(j, None)
-        live[i + 2] = z
+    vals = {1: f_n.values}
+    for i, (evals, (k0, w0), terms, last, drops) in enumerate(scheme._plan):
+        for j, cj, dj, starts_err in evals:
+            fj = g_n.values if j == 1 else rhs(
+                t_n + cj * h, StateVector(vals[j], lay)).values
+            if starts_err:
+                err = dj * fj
+            elif dj:
+                err += dj * fj
+            vals[-j] = fj
+        z = vals[k0] if w0 == 1.0 else w0 * vals[k0]
+        owned = w0 != 1.0          # z is a buffer of this step's own
+        for k, w, times_h in terms:
+            if times_h:
+                w = h * w
+            # the product stays unnamed, so it is freed before the next
+            # row's rhs call
+            if owned:
+                z += w * vals[k]
+            else:
+                z, owned = z + w * vals[k], True
+        if last:
+            k, w = last
+            fk = vals[k]
+            fk *= h * w
+            fk += z
+            z = fk
+        for k in drops:
+            del vals[k]
+        vals[i + 2] = z
     if not np.all(np.isfinite(z)):
         raise StepFailure("non-finite values in SSP stages")
-    return StateVector(z, lay), StateVector(h * err, lay)
+    err *= h
+    return StateVector(z, lay), StateVector(err, lay)

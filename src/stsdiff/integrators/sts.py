@@ -159,8 +159,15 @@ def stage_count(h: float, lambda_eff: float, family: str) -> int:
         raise StepFailure(
             f"step needs more than {STAGE_CAP} stages "
             f"(h*lambda = {target:.3g}); reduce the step size")
-    # both families scale as ~0.65 s^2; start near the answer and walk
-    s = max(2, int(np.sqrt(target / 0.65)) - 2)
+    # start from the family's interval inverted, at most one stage off,
+    # and walk to the minimal s
+    if family == "rkl2":
+        s = math.ceil((math.sqrt(9.0 + 8.0 * target) - 1.0) / 2.0)
+    else:
+        # RKC2's interval over s^2 rises to 2 (coth a - 1/a) / a = 0.65338
+        # with a = sqrt(2 RKC_DAMPING), the limit of s theta
+        a = math.sqrt(2.0 * RKC_DAMPING)
+        s = math.ceil(math.sqrt(target * a / (2.0 / math.tanh(a) - 2.0 / a)))
     while stability_interval(family, s) < target:
         s += 1
     while s > 2 and stability_interval(family, s - 1) >= target:

@@ -66,7 +66,10 @@ class LineOperator:
         buffer pad of shape (n_v + 2, m, L), whose row r is v-cell r - 1.
         Viewed with strides (m L, 1, L) items as (n_v, L, 3 m), column
         m k + b of row (i, l) is v-mode b of cell i - 1 + k on line l, so
-        one product with the stencil gives the cell-major result."""
+        one product with the stencil gives the cell-major result.
+
+        Every call returns a new array that the caller owns and may
+        overwrite: ssp_step scales some of them in place."""
         if u.layout != self.layout:
             raise ValueError("state layout does not match problem layout")
         m = self.modes

@@ -115,7 +115,11 @@ def wrms(kind: str, err: StateVector, ref: StateVector, tol: ToleranceSpec) -> f
         e, r = err.values, np.abs(ref.values)
     else:
         e, r = _cell_rms(err.cells()), _cell_rms(ref.cells())
-    ratios = e / (tol.rtol * r + tol.atol)
-    # np.sum uses pairwise accumulation; tolerance-sensitive reductions
-    # must not drift with N
-    return float(np.sqrt(np.sum(ratios * ratios) / ratios.size))
+    # r is the norm's own buffer: the ratios and their squares reuse it
+    r *= tol.rtol
+    r += tol.atol
+    np.divide(e, r, out=r)
+    r *= r
+    # add.reduce is np.sum's pairwise accumulation, so tolerance-sensitive
+    # reductions do not drift with N
+    return math.sqrt(np.add.reduce(r) / r.size)

@@ -32,3 +32,32 @@ def test_summary_counts_won_pairs_in_the_better_direction():
         bench_pairs.summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0], [1.0], "smaller")
+
+
+def hand_run(rhs_evals, err_gmean, ops):
+    return {"correct": True, "failed": 0, "attempted": 6,
+            "metrics": {"rhs_evals": {"value": rhs_evals, "unit": "count"},
+                        "err_gmean": {"value": err_gmean, "unit": "rel"},
+                        "solve_s": {"value": 3.0, "unit": "s"}},
+            "ops": ops}
+
+
+def test_counts_equal_needs_every_pair_to_repeat_the_counts():
+    ops = {"ssp4": {"rhs": 900, "rej": 0, "err": 1e-6},
+           "rkl": {"rhs": 300, "rej": 2, "err": 3e-6}}
+    parent = [hand_run(1200, 2e-6, ops), hand_run(1210, 2e-6, ops)]
+    same = [hand_run(1200, 2e-6, ops), hand_run(1210, 2e-6, ops)]
+    assert bench_pairs.counts_equal(parent, same)
+    moved_rej = {**ops, "rkl": {"rhs": 300, "rej": 3, "err": 3e-6}}
+    for change in ([hand_run(1200, 2e-6, ops), hand_run(1211, 2e-6, ops)],
+                   [hand_run(1200, 2.1e-6, ops), hand_run(1210, 2e-6, ops)],
+                   [hand_run(1200, 2e-6, ops),
+                    hand_run(1210, 2e-6, moved_rej)]):
+        assert not bench_pairs.counts_equal(parent, change)
+    # the counts are compared pair by pair, not as pooled runs
+    assert not bench_pairs.counts_equal(parent, same[::-1])
+    # the BENCH file carries the verdict per workload
+    runs = {"w": {"parent": parent, "change": same}}
+    out = bench_pairs.report("topic", "", [301, 302], {"solve_s": "lower"},
+                             runs, 3)
+    assert out["workloads"]["w"]["counts_equal"] is True

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stsdiff.errors import StepFailure
+from stsdiff.integrators import sts
 from stsdiff.integrators.sts import (
     RKC_DAMPING,
     STAGE_CAP,
@@ -215,6 +216,25 @@ class TestStageCount:
                 assert stability_interval(family, s) >= hl
                 if s > 2:
                     assert stability_interval(family, s - 1) < hl
+
+    @pytest.mark.parametrize("family", ["rkl2", "rkc2"])
+    def test_minimal_within_five_interval_calls(self, family, monkeypatch):
+        # the start guess is at most one stage off, so a call costs the
+        # floor and cap checks plus at most three steps of the walk
+        intervals = np.array([stability_interval(family, s)
+                              for s in range(2, STAGE_CAP + 1)])
+        calls = {"n": 0}
+
+        def counted(fam, s):
+            calls["n"] += 1
+            return stability_interval(fam, s)
+
+        monkeypatch.setattr(sts, "stability_interval", counted)
+        for target in np.geomspace(1.0, intervals[-1], 2000):
+            calls["n"] = 0
+            want = 2 + int(np.argmax(intervals >= target))
+            assert stage_count(1.0, float(target), family) == want
+            assert calls["n"] <= 5
 
     def test_cap(self):
         with pytest.raises(StepFailure, match="reduce the step size"):

@@ -16,9 +16,11 @@ The output, `BENCH_<TOPIC>.json` in the working directory, records
 what the change is (--about), the protocol (with --note appended), the
 machine and, per workload and metric, both sides' runs with their
 min, quartiles and median, and how many pairs the change won (ties
-count for neither), beside the op lines of each run's first round.  It
-is rewritten after every pair, so an interrupted comparison keeps the
-pairs it finished.
+count for neither), beside the op lines of each run's first round.
+A workload's `counts_equal` says whether every pair repeated the
+deterministic counts, so that a claim of bitwise-identical work can be
+read off the file.  It is rewritten after every pair, so an interrupted
+comparison keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -75,6 +77,15 @@ def summarize(parent, change, better: str) -> dict:
     return out
 
 
+def counts_equal(parent, change) -> bool:
+    """Whether pair k's two runs agree, for every k, in rhs_evals,
+    err_gmean and each first-round op's rhs, rej and err."""
+    def counts(run):
+        return (run["metrics"]["rhs_evals"]["value"],
+                run["metrics"]["err_gmean"]["value"], run["ops"])
+    return all(counts(p) == counts(c) for p, c in zip(parent, change))
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark process in tree; its final JSON line, with the op
     lines it printed before it under "ops"."""
@@ -120,7 +131,8 @@ def report(about, note, seeds, metrics, runs, seconds) -> dict:
                          for s in SIDES},
              "failed": {s: [r["failed"] for r in sides[s]] for s in SIDES},
              "attempted": {s: [r["attempted"] for r in sides[s]]
-                           for s in SIDES}}
+                           for s in SIDES},
+             "counts_equal": counts_equal(sides["parent"], sides["change"])}
         for metric, better in metrics.items():
             values = {s: [r["metrics"][metric]["value"] for r in sides[s]]
                       for s in SIDES}
