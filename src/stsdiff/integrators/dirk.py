@@ -89,8 +89,9 @@ DIRK_SCHEMES = {2: _dirk2(), 3: _dirk3()}
 
 
 # the stage solves: Newton stops at WRMS residual NEWTON_TOL or fails
-# after MAX_NEWTON solves, each solve a CG run to relative residual
-# CG_TOL_FACTOR * NEWTON_TOL in at most MAX_CG iterations
+# after MAX_NEWTON solves; a solve that starts from WRMS residual rnorm
+# is a CG run to relative residual CG_TOL_FACTOR * NEWTON_TOL /
+# min(rnorm, 1) in at most MAX_CG iterations (see dirk_step)
 NEWTON_TOL = 1e-2
 MAX_NEWTON = 10
 MAX_CG = 200
@@ -141,7 +142,11 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
     Newton from the predictor z = a_i + h A_ii g_{i-1}, which takes the
     previous stage's derivative for G(t_i, z).  The linearized systems
     (I - h A_ii J) delta = -F use matrix-free CG.  J v is the
-    difference-quotient product around z, weighted by f_n.
+    difference-quotient product around z, weighted by f_n.  A solve
+    that starts from WRMS residual rnorm stops CG at relative residual
+    CG_TOL_FACTOR * NEWTON_TOL / min(rnorm, 1), so the solve's target
+    is about CG_TOL_FACTOR * NEWTON_TOL in the WRMS norm when rnorm < 1
+    (Eisenstat & Walker's forcing term, SIAM J. Sci. Comput. 17, 1996).
 
     The tableaus are stiffly accurate, so f_next is the last stage's
     solve z_s itself, and g_next = rhs(t_n + h, z_s) is the derivative
@@ -152,7 +157,6 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
     gs[0] = g_n.values
     if not np.all(np.isfinite(gs[0])):
         raise StepFailure("non-finite derivative at the step's start")
-    cg_tol = CG_TOL_FACTOR * NEWTON_TOL
 
     for i in range(1, s):
         t_i = t_n + scheme.c[i] * h
@@ -179,7 +183,9 @@ def dirk_step(rhs, t_n: float, f_n: StateVector, h: float,
                 return v - h * aii * _dq(rhs, t_i, z, g_z, v, f_n, tol,
                                          norm_kind)
 
-            z = z + cg_solve(apply_op, -resid, cg_tol, MAX_CG)
+            z = z + cg_solve(apply_op, -resid,
+                             CG_TOL_FACTOR * NEWTON_TOL / min(rnorm, 1.0),
+                             MAX_CG)
             g_z = rhs(t_i, StateVector(z, lay)).values
         gs[i] = g_z
 

@@ -61,3 +61,30 @@ def test_counts_equal_needs_every_pair_to_repeat_the_counts():
     out = bench_pairs.report("topic", "", [301, 302], {"solve_s": "lower"},
                              runs, 3)
     assert out["workloads"]["w"]["counts_equal"] is True
+
+
+def test_pair_ratio_cancels_drift_that_both_sides_of_a_pair_share():
+    # 20 pairs; the machine's speed drifts over 3.0-3.4 s and pairs 1-4
+    # run 1.5x slower on both sides; the change is 5% faster in every
+    # pair, give or take 1% of noise of its own
+    drift = [(1.5 if k < 4 else 1.0) * (3.0 + 0.1 * (k % 5))
+             for k in range(20)]
+    noise = [1.0 + 0.01 * ((-1) ** k) for k in range(20)]
+    parent = [d * e for d, e in zip(drift, noise)]
+    change = [0.95 * d * e for d, e in zip(drift, noise[::-1])]
+    out = bench_pairs.summarize(parent, change, "lower")
+    p, c = out["parent"], out["change"]
+    # pooled, the sides' interquartile ranges overlap, and the gap
+    # between the medians is inside the parent's own spread
+    assert c["q3"] > p["q1"]
+    assert p["median"] - c["median"] < p["q3"] - p["q1"]
+    # per pair, the drift cancels and the change shows
+    r = out["pair_ratio"]
+    assert r["runs"] == pytest.approx([cv / pv for pv, cv in
+                                       zip(parent, change)])
+    assert r["q3"] < 1.0
+    assert 0.93 < r["q1"] <= r["median"] <= r["q3"] < 0.97
+    assert out["change_won_pairs"] == 20
+    # no ratio from a parent run of 0
+    assert bench_pairs.summarize([0.0, 1.0], [1.0, 1.0],
+                                 "lower")["pair_ratio"] is None

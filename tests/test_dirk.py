@@ -295,6 +295,58 @@ def test_predicted_step_matches_a_tightly_solved_step(order, h,
     assert dist(f1.values, ref.values) <= newton_tol
 
 
+def forcing_spy(monkeypatch, f0, tol):
+    """Wraps dirk_step's cg_solve on an FD stage; the returned list gets,
+    per solve, the WRMS residual rnorm it starts from, the tolerance it
+    was given, its CG iterations, the iterations the fixed tolerance
+    CG_TOL_FACTOR * NEWTON_TOL takes on the same system, and the WRMS
+    Newton residual after the solve (the linear system's residual, as
+    the stage is linear)."""
+    solves = []
+
+    def norm(v):
+        return wrms("component", StateVector(v, f0.layout), f0, tol)
+
+    def cg(apply_A, rhs_vec, cg_tol, max_cg):
+        wrapped, calls = counted(apply_A)
+        x = cg_solve(wrapped, rhs_vec, cg_tol, max_cg)
+        fixed, fixed_calls = counted(apply_A)
+        cg_solve(fixed, rhs_vec, dirk.CG_TOL_FACTOR * dirk.NEWTON_TOL, max_cg)
+        solves.append({"rnorm": norm(rhs_vec), "tol": cg_tol,
+                       "iters": calls[0], "fixed_iters": fixed_calls[0],
+                       "after": norm(rhs_vec - apply_A(x))})
+        return x
+
+    monkeypatch.setattr(dirk, "cg_solve", cg)
+    return solves
+
+
+@pytest.mark.parametrize("h,below", [(1e-3, True), (1e-2, False)],
+                         ids=["rnorm-below-1", "rnorm-at-least-1"])
+def test_cg_tolerance_is_the_newton_forcing_term(h, below, monkeypatch):
+    # FD 32x2, nu=1, rtol 1e-4: at h = 1e-3 every dirk3 stage's predictor
+    # residual lies in (NEWTON_TOL, 1), at h = 1e-2 in [1, 20)
+    lay = GridLayout("fd", 32, 2)
+    prob = FdProblem(lay, nu=1.0)
+    f0 = prob.initial_condition()
+    tol = ToleranceSpec(1e-4)
+    solves = forcing_spy(monkeypatch, f0, tol)
+    dirk_step(prob.rhs, 0.0, f0, h, DIRK_SCHEMES[3], prob.rhs(0.0, f0), tol)
+    fixed = dirk.CG_TOL_FACTOR * dirk.NEWTON_TOL
+    # a linear stage takes exactly one solve, which meets the Newton test
+    assert len(solves) == 4
+    for sv in solves:
+        assert dirk.NEWTON_TOL < sv["rnorm"]
+        assert (sv["rnorm"] < 1.0) == below
+        assert sv["after"] <= dirk.NEWTON_TOL
+        if below:
+            assert sv["tol"] == fixed / sv["rnorm"]
+            assert sv["iters"] < sv["fixed_iters"]
+        else:
+            assert sv["tol"].hex() == fixed.hex()
+            assert sv["iters"] == sv["fixed_iters"]
+
+
 def test_quiescent_state_is_preserved_exactly():
     lay = GridLayout("fd", 16, 2)
     f0 = FdProblem(lay, nu=1.0).initial_condition()

@@ -28,10 +28,10 @@ a fixed-step row that blows up and one whose eigenvalue estimate aborts.
 At this writing it prints these five lines (digests cut to eight hex
 digits):
 
-    fd/component 102 integrations fa7df210…
-    dg/component 102 integrations 340bd87c…
-    dg/cell 102 integrations 0cfd2cde…
-    306 integrations 025fddd2…
+    fd/component 102 integrations 33c43f16…
+    dg/component 102 integrations 06155504…
+    dg/cell 102 integrations b027dcd9…
+    306 integrations f0f72852…
     6 rows 17fe2f44…
 """
 

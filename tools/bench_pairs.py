@@ -15,8 +15,10 @@ BENCHMARK.json.
 The output, `BENCH_<TOPIC>.json` in the working directory, records
 what the change is (--about), the protocol (with --note appended), the
 machine and, per workload and metric, both sides' runs with their
-min, quartiles and median, and how many pairs the change won (ties
-count for neither), beside the op lines of each run's first round.
+min, quartiles and median, how many pairs the change won (ties count
+for neither) and the quartiles of the per-pair ratios change/parent
+(`pair_ratio`), in which drift in the machine's speed that both runs of
+a pair share cancels, beside the op lines of each run's first round.
 A workload's `counts_equal` says whether every pair repeated the
 deterministic counts, so that a claim of bitwise-identical work can be
 read off the file.  It is rewritten after every pair, so an interrupted
@@ -58,9 +60,10 @@ def quartiles(runs) -> dict:
 
 
 def summarize(parent, change, better: str) -> dict:
-    """Both sides' quartiles and the pairs the change won, lost and tied.
-    parent[k] and change[k] are pair k's runs; better is "lower" or
-    "higher"."""
+    """Both sides' quartiles, the pairs the change won, lost and tied,
+    and the quartiles of the per-pair ratios change[k] / parent[k]
+    (None when a parent run is 0).  parent[k] and change[k] are pair k's
+    runs; better is "lower" or "higher"."""
     if better not in ("lower", "higher"):
         raise ValueError(f"unknown direction {better!r}")
     if len(parent) != len(change) or not parent:
@@ -74,6 +77,8 @@ def summarize(parent, change, better: str) -> dict:
            "parent": quartiles(parent), "change": quartiles(change)}
     base = out["parent"]["median"]
     out["median_ratio"] = out["change"]["median"] / base if base else None
+    out["pair_ratio"] = (quartiles([c / p for p, c in zip(parent, change)])
+                         if all(parent) else None)
     return out
 
 
